@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .analysis import (chebyshev_mixing_check, divergence_exact,
                        hoeffding_check)
 from .config import (ConfigError, ExperimentConfig, build_noise,
                      build_pattern, build_population, build_run_config,
-                     build_schedule, build_x0, load_config, resolve_plan)
+                     build_schedule, build_x0, load_config,
+                     resolve_plan)  # noqa: F401  (perfbench/traced.py wraps it here)
 from .engine import RunConfig, run
 from .objectives import NoiseModel, build_quadratic
 from .participation import PatternSpec, generate_schedule
@@ -166,13 +168,8 @@ def cmd_sweep(args) -> int:
             try:
                 sched = generate_schedule(pat, pop.N, T,
                                           derive_seed(rep_seed, "schedule"))
-                x0 = build_x0(cfg, pop, rep_seed)
-                gamma, eta, _ = resolve_plan(cfg, pop, sched, x0, T=T, P=P)
-                rc = RunConfig(gamma=gamma, eta=eta,
-                               local_steps=cfg.get("run", "I"),
-                               amplify_every=P, rounds=T, x0=x0,
-                               eval_every=_auto_eval_every(cfg, T, P),
-                               mode=cfg.get("run", "mode"))
+                rc = replace(build_run_config(cfg, pop, sched, rep_seed, T=T, P=P),
+                             eval_every=_auto_eval_every(cfg, T, P))
                 trace = run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
             except (ConfigError, ValueError) as exc:
                 print(f"point {axis}={value} rep {rep} failed: {exc}",

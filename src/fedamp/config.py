@@ -337,7 +337,7 @@ def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
                    eval_every=ev if ev > 0 else None, mode=mode,
                    minibatch=mb if mb > 0 else None)
     try:
-        rc.validate()
+        rc.validate(pop)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return rc

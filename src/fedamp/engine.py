@@ -9,7 +9,6 @@ single averaged step instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +32,8 @@ class RunConfig:
     mode: str = "generalized"
     minibatch: int | None = None    # logistic populations only
 
-    def validate(self):
+    def validate(self, pop=None):
+        """Check the parameters, and their fit to `pop` when given."""
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite: {self.gamma}")
         if not (np.isfinite(self.eta) and self.eta > 0):
@@ -47,6 +47,14 @@ class RunConfig:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be finite")
+        if pop is None:
+            return
+        if len(self.x0) != pop.m:
+            raise ValueError(f"x0 dimension {len(self.x0)} != population "
+                             f"dimension {pop.m}")
+        if self.minibatch is not None and not hasattr(pop, "minibatch_grad"):
+            raise ValueError(f"minibatch needs a population with minibatch "
+                             f"gradients, not {type(pop).__name__}")
 
     @property
     def checkpoint_step(self) -> int:
@@ -109,46 +117,64 @@ def checkpoint_eval(pop, x: np.ndarray) -> tuple[float, float]:
     return pop.global_value(x), float(g @ g)
 
 
-def _client_delta(pop, noise, n, x, gamma, steps, rng, minibatch):
-    y = x.copy()
-    for _ in range(steps):
-        y -= gamma * pop.stochastic_grad(noise, n, y, rng, **(
-            {"batch": minibatch} if minibatch is not None else {}))
-    return y - x
+def _grad_kwargs(cfg: RunConfig) -> dict:
+    return {"batch": cfg.minibatch} if cfg.minibatch is not None else {}
 
 
-def _deltas_scalar(pop, noise, clients, x, cfg, seed, t, workers):
-    def one(n):
-        rng = substream(seed, "local", t, n)
-        return _client_delta(pop, noise, n, x, cfg.gamma, cfg.local_steps,
-                             rng, cfg.minibatch)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, clients))
-    return [one(n) for n in clients]
+class _LocalSteps:
+    """The local updates of one run: I steps from x for each client.
 
-
-def _deltas_diag(pop, noise, clients, x, cfg, seed, t):
-    """Batched local updates for diagonal shared curvature + additive noise.
-
-    All operations are elementwise per client row, so results are
-    bit-identical to the per-client path regardless of batch membership.
+    Client n's stream in round t is substream(seed, "local", t, n),
+    re-keyed into the run's one generator.  Diagonal quadratics step all
+    of a round's clients at once on preallocated blocks; all their
+    operations are elementwise per client row, in the per-client order,
+    so the results are bit-identical to the per-client path that every
+    other population takes.
     """
-    lam = pop.diag
-    C = pop.centers[clients]
-    steps, m = cfg.local_steps, pop.m
-    if noise.kind == "none" or noise.sigma == 0.0:
+
+    def __init__(self, pop, noise: NoiseModel, cfg: RunConfig, seed: int,
+                 rows: int):
+        self.pop, self.noise, self.cfg, self.seed = pop, noise, cfg, seed
+        self.rng = np.random.Generator(np.random.Philox())
+        self.deltas = np.empty((rows, pop.m))
+        self.batched = isinstance(pop, QuadraticPopulation) and pop.diag is not None
+        if self.batched:
+            self.lam = np.tile(pop.diag, (rows, 1))  # faster than a broadcast row
+            self.centers = np.empty((rows, pop.m))
+            self.grads = np.empty((rows, pop.m))
+            noisy = noise.kind != "none" and noise.sigma != 0.0
+            self.xi = np.empty((rows, cfg.local_steps, pop.m)) if noisy else None
+
+    def __call__(self, clients: np.ndarray, x: np.ndarray, t: int) -> np.ndarray:
+        """Rows y_I - x, in the order of `clients`; valid until the next call."""
+        k, gamma, steps = len(clients), self.cfg.gamma, self.cfg.local_steps
+        Y = self.deltas[:k]
+        Y[:] = x
+        if not self.batched:
+            kw = _grad_kwargs(self.cfg)
+            for y, n in zip(Y, clients):
+                rng = substream(self.seed, "local", t, n, reuse=self.rng)
+                for _ in range(steps):
+                    y -= gamma * self.pop.stochastic_grad(self.noise, n, y, rng, **kw)
+            Y -= x
+            return Y
+        C, G, lam = self.centers[:k], self.grads[:k], self.lam[:k]
+        np.take(self.pop.centers, clients, axis=0, out=C)
         xi = None
-    else:
-        xi = np.stack([noise.sample_block(substream(seed, "local", t, n), steps, m)
-                       for n in clients])
-    Y = np.broadcast_to(x, C.shape).copy()
-    for i in range(steps):
-        g = lam * (Y - C)
-        if xi is not None:
-            g = g + xi[:, i]
-        Y = Y - cfg.gamma * g
-    return Y - x
+        if self.xi is not None:
+            xi = self.xi[:k]
+            for j, n in enumerate(clients):
+                rng = substream(self.seed, "local", t, n, reuse=self.rng)
+                self.noise.sample_block(rng, steps, self.pop.m, out=xi[j])
+        for i in range(steps):  # Y - gamma * (lam * (Y - C) + xi_i)
+            np.subtract(Y, C, out=G)
+            G *= lam
+            if xi is not None:
+                G += xi[:, i]
+            G *= gamma
+            Y -= G
+        Y -= x
+        return Y
 
 
 def _checkpoint_set(cfg: RunConfig) -> set:
@@ -188,13 +214,15 @@ class _Recorder:
 
 
 def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
-        seed: int, simulate_all: bool = False, workers: int | None = None) -> Trace:
-    """Execute the generalized algorithm and return a checkpointed trace."""
-    cfg.validate()
+        seed: int, simulate_all: bool = False) -> Trace:
+    """Execute the generalized algorithm and return a checkpointed trace.
+
+    Only clients with positive weight take local steps, unless
+    `simulate_all`; either way only they enter the aggregate.
+    """
+    cfg.validate(pop)
     if schedule.T < cfg.rounds:
         raise ValueError(f"schedule covers {schedule.T} rounds, need {cfg.rounds}")
-    if len(cfg.x0) != pop.m:
-        raise ValueError(f"x0 dimension {len(cfg.x0)} != population dimension {pop.m}")
     if cfg.mode != "generalized":
         return run_wait_baseline(pop, noise, schedule, cfg, seed)
 
@@ -210,8 +238,10 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
             "gamma": cfg.gamma, "eta": cfg.eta, "I": cfg.local_steps,
             "P": P, "T": T, "rho": rho_bound(schedule)}
 
-    diag_fast = (isinstance(pop, QuadraticPopulation) and pop.diag is not None
-                 and cfg.minibatch is None and not workers)
+    per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
+    rows = pop.N if simulate_all else int(per_round.max(initial=0))
+    local = _LocalSteps(pop, noise, cfg, seed, rows)
+    everyone = np.arange(pop.N)
 
     for t in range(T):
         if t in checkpoints:
@@ -219,16 +249,17 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
                 return rec.finish(x, meta, diverged=True, diverged_round=t,
                                   boundary_residual=max_residual)
         q = schedule.weights[t]
-        clients = np.arange(pop.N) if simulate_all else np.nonzero(q)[0]
-        if diag_fast:
-            deltas = _deltas_diag(pop, noise, clients, x, cfg, seed, t)
+        active = (q > 0).nonzero()[0]
+        if simulate_all:
+            deltas = local(everyone, x, t)[active]
         else:
-            deltas = _deltas_scalar(pop, noise, clients, x, cfg, seed, t, workers)
-        step = np.zeros(pop.m)
-        for j, n in enumerate(clients):  # ascending client index
-            step += q[n] * deltas[j]
-        x = x + step
-        u = u + step
+            deltas = local(active, x, t)
+        deltas *= q[active][:, None]
+        # rows are added in ascending client order (numpy sums a single
+        # column, m = 1, pairwise)
+        step = deltas.sum(axis=0)
+        x += step
+        u += step
         if t + 1 - t0 == P:
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = np.linalg.norm((x - x_at_t0) - u)
@@ -240,7 +271,7 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
             t0 = t + 1
             u = np.zeros(pop.m)
             x_at_t0 = x.copy()
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return rec.finish(np.nan_to_num(x), meta, diverged=True,
                               diverged_round=t, boundary_residual=max_residual)
     ok = rec.record(T, x)
@@ -258,7 +289,7 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
     (appearance-averaged) gradient at the frozen point.  wait_full uses
     the exact gradient, wait_minibatch averages stochastic draws.
     """
-    cfg.validate()
+    cfg.validate(pop)
     if cfg.mode not in ("wait_minibatch", "wait_full"):
         raise ValueError(f"run_wait_baseline needs a wait mode, got {cfg.mode!r}")
     P, T = cfg.amplify_every, cfg.rounds
@@ -268,6 +299,8 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
     meta = {"seed": int(seed), "pattern": schedule.pattern, "mode": cfg.mode,
             "gamma": cfg.gamma, "eta": cfg.eta, "I": cfg.local_steps,
             "P": P, "T": T, "rho": rho_bound(schedule)}
+    gen = np.random.Generator(np.random.Philox())
+    kw = _grad_kwargs(cfg)
 
     for t in range(T):
         if t in checkpoints:
@@ -288,9 +321,8 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
             else:
                 acc = np.zeros(pop.m)
                 for tr in rounds_n:
-                    rng = substream(seed, "local", int(tr), int(n))
-                    acc += pop.stochastic_grad(noise, n, x, rng, **(
-                        {"batch": cfg.minibatch} if cfg.minibatch is not None else {}))
+                    rng = substream(seed, "local", int(tr), int(n), reuse=gen)
+                    acc += pop.stochastic_grad(noise, n, x, rng, **kw)
                 gbar = acc / len(rounds_n)
             step += -cfg.gamma * cfg.local_steps * gbar
         x = x + step / appearing.size

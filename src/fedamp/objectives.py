@@ -45,14 +45,25 @@ class NoiseModel:
         v = rng.normal(size=m)
         return v * (self.sigma / np.linalg.norm(v))
 
-    def sample_block(self, rng: np.random.Generator, steps: int, m: int) -> np.ndarray:
-        """Noise for `steps` consecutive draws from one stream, shape (steps, m)."""
+    def sample_block(self, rng: np.random.Generator, steps: int, m: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """Noise for `steps` consecutive draws from one stream, shape (steps, m).
+
+        Row i equals the i-th of `steps` calls to `sample` on the same
+        stream, bit for bit.  Fills and returns `out` when given.
+        """
+        if out is None:
+            out = np.empty((steps, m))
         if self.kind == "none" or self.sigma == 0.0:
-            return np.zeros((steps, m))
-        if self.kind == "gaussian":
-            return rng.normal(0.0, self.sigma / np.sqrt(m), size=(steps, m))
-        v = rng.normal(size=(steps, m))
-        return v * (self.sigma / np.linalg.norm(v, axis=1, keepdims=True))
+            out.fill(0.0)
+        elif self.kind == "gaussian":
+            rng.standard_normal(out=out)
+            out *= self.sigma / np.sqrt(m)
+        else:
+            rng.standard_normal(out=out)
+            for row in out:  # one norm per row, computed as in sample()
+                row *= self.sigma / np.linalg.norm(row)
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,14 @@
 
 Every stochastic component draws from its own counter-based (Philox)
 generator derived from a base seed and a label path, so results do not
-depend on execution order or worker count.  The derivation rule: the
-seed and the path labels are rendered to text, joined with "/", and the
-first 16 bytes of the sha256 digest become the 128-bit Philox key.
+depend on execution order.  The derivation rule: the seed and the path
+labels are rendered to text, joined with "/", and the first 16 bytes of
+the sha256 digest become the 128-bit Philox key.
+
+Constructing a Philox generator draws OS entropy that the key then
+overwrites, which dominates the cost of a short stream.  The engine
+therefore owns one generator per run and re-keys it for every local
+stream (`reuse=`); the derivation rule and the draws are unchanged.
 """
 
 from __future__ import annotations
@@ -13,23 +18,36 @@ import hashlib
 
 import numpy as np
 
+_ZEROS = (0, 0, 0, 0)
+
 
 def _label_text(label) -> str:
+    if isinstance(label, str):
+        return label
     if isinstance(label, (int, np.integer)):
         if label < 0:
             raise ValueError(f"integer stream label must be nonnegative: {label}")
         return str(int(label))
-    if isinstance(label, str):
-        return label
     raise TypeError(f"stream label must be int or str, got {type(label).__name__}")
 
 
-def substream(seed: int, *path) -> np.random.Generator:
-    """Independent generator for the given (seed, path) key."""
-    text = "/".join([str(int(seed))] + [_label_text(p) for p in path])
+def substream(seed: int, *path, reuse: np.random.Generator | None = None
+              ) -> np.random.Generator:
+    """Independent generator for the given (seed, path) key.
+
+    With `reuse`, that Philox generator is reset to the key's fresh state
+    and returned instead of a new one: its draws are those of a new
+    generator bit for bit, and whatever it was drawing before is lost.
+    """
+    text = "/".join([str(int(seed)), *map(_label_text, path)])
     digest = hashlib.sha256(text.encode()).digest()
     key = np.frombuffer(digest[:16], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    reuse.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return reuse
 
 
 def derive_seed(master: int, label: str) -> int:

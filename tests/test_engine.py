@@ -1,5 +1,7 @@
 """Engine semantics: update recursion, amplification, determinism, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,11 +38,15 @@ class TestRecursion:
         tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 1), cfg, seed=0)
         assert tr.x_final[0] == pytest.approx(2.0 * 0.9**2, abs=1e-15)
 
-    def test_matches_straight_line_transcription(self):
-        # independent re-implementation of one amplified run, bit for bit;
-        # rotated curvature forces the per-client code path
-        pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.8, seed=21)
-        noise = fa.NoiseModel("gaussian", 0.5)
+    @pytest.mark.parametrize("kind", ["none", "gaussian", "sphere"])
+    @pytest.mark.parametrize("rotate", [True, False], ids=["rotated", "diagonal"])
+    def test_matches_straight_line_transcription(self, rotate, kind):
+        # independent re-implementation of one amplified run, bit for bit,
+        # client by client on fresh substreams; diagonal curvature takes the
+        # engine's batched kernel, rotated curvature its per-client path
+        pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.8, seed=21,
+                                 rotate=rotate)
+        noise = fa.NoiseModel(kind, 0.5)
         sched = fa.generate_schedule(fa.PatternSpec("permutation", S=2), 4, 12,
                                      seed=3)
         gamma, eta, I, P, T = 0.05, 3.0, 2, 4, 12
@@ -139,15 +145,27 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.x_final, b.x_final)
         np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
 
-    def test_worker_count_invariance(self):
-        # threaded per-client path and batched fast path agree bit for bit
-        pop, noise, sched = self._setup()
-        cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=2, amplify_every=4,
-                           rounds=24, x0=np.ones(4), eval_every=1)
-        fast = fa.run(pop, noise, sched, cfg, seed=9)
-        for workers in (1, 2, 4):
-            thr = fa.run(pop, noise, sched, cfg, seed=9, workers=workers)
-            np.testing.assert_array_equal(thr.x_final, fast.x_final)
+    def test_simulate_all_ignores_overflowing_idle_client(self):
+        # client 3 has weight 0 and a center so far out that its local steps
+        # overflow; simulating it must not turn 0 * inf into NaN.  The
+        # derived constants stay those of the unmodified population.
+        base = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=25,
+                                  rotate=False)
+        centers = base.centers.copy()
+        centers[3] = 1e306
+        pop = dataclasses.replace(base, centers=centers)
+        T = 4
+        weights = np.tile([1 / 3, 1 / 3, 1 / 3, 0.0], (T, 1))
+        sched = fa.WeightSchedule(weights=weights, pattern="fixed", seed=0)
+        cfg = fa.RunConfig(gamma=3.0, eta=1.0, local_steps=10, amplify_every=1,
+                           rounds=T, x0=np.ones(3), eval_every=1)
+        noise = fa.NoiseModel("gaussian", 0.1)
+        skip = fa.run(pop, noise, sched, cfg, seed=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            everyone = fa.run(pop, noise, sched, cfg, seed=4, simulate_all=True)
+        assert not skip.diverged
+        assert not everyone.diverged, everyone.diverged_round
+        np.testing.assert_array_equal(everyone.x_final, skip.x_final)
 
     def test_repeat_run_identical(self):
         pop, noise, sched = self._setup()
@@ -192,6 +210,16 @@ class TestTraceAndValidation:
         with pytest.raises(ValueError):
             fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
                          rounds=4, x0=x0, mode="mystery").validate()
+
+    def test_minibatch_on_quadratic_rejected(self):
+        # only populations with minibatch gradients take a minibatch size
+        pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=26)
+        sched = full_schedule(4, 4)
+        for mode in ("generalized", "wait_minibatch"):
+            cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                               rounds=4, x0=np.ones(3), mode=mode, minibatch=2)
+            with pytest.raises(ValueError, match="minibatch"):
+                fa.run(pop, fa.NoiseModel(), sched, cfg, seed=0)
 
     def test_csv_export(self, tmp_path):
         pop = single_client_pop()
@@ -238,6 +266,36 @@ class TestWaitBaselines:
                  for t in range(M)]
         expect = -0.2 * 3 * np.mean(draws, axis=0)
         assert tr.x_final[0] == pytest.approx(expect[0], rel=1e-12)
+
+    def test_wait_minibatch_matches_straight_line_transcription(self):
+        # independent re-implementation of the wait-for-all baseline, bit for
+        # bit: frozen x per window, one averaged step over appearing clients
+        pop = fa.build_quadratic(N=5, m=3, L=1.0, spread=0.8, seed=27)
+        noise = fa.NoiseModel("gaussian", 0.5)
+        sched = fa.generate_schedule(fa.PatternSpec("independent", S=2), 5, 12,
+                                     seed=4)
+        gamma, I, P, T = 0.05, 3, 4, 12
+        x0 = np.array([1.0, -0.5, 0.25])
+        seed = 78
+
+        x = x0.copy()
+        for end in range(P, T + 1, P):
+            window = sched.weights[end - P:end]
+            appearing = [n for n in range(5) if window[:, n].any()]
+            step = np.zeros(3)
+            for n in appearing:
+                acc = np.zeros(3)
+                rounds_n = [end - P + r for r in range(P) if window[r, n] != 0]
+                for t in rounds_n:
+                    rng = fa.substream(seed, "local", t, n)
+                    acc += pop.grad(n, x) + noise.sample(rng, 3)
+                step += -gamma * I * (acc / len(rounds_n))
+            x = x + step / len(appearing)
+
+        cfg = fa.RunConfig(gamma=gamma, eta=1.0, local_steps=I, amplify_every=P,
+                           rounds=T, x0=x0, mode="wait_minibatch")
+        tr = fa.run(pop, noise, sched, cfg, seed=seed)
+        np.testing.assert_array_equal(tr.x_final, x)
 
     def test_wait_minibatch_variance_scales_with_appearances(self):
         # averaging M draws cuts the step variance by M

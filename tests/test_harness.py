@@ -1,6 +1,8 @@
-"""Config parsing, CLI subcommands, SVG rendering."""
+"""Config parsing, CLI subcommands, SVG rendering, README example."""
 
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +130,20 @@ class TestCliRun:
     def test_unreadable_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
+    def test_minibatch_on_quadratic_exit_1(self, cfg_file, tmp_path, capsys):
+        code = main(["run", "--config", cfg_file, "--out",
+                     str(tmp_path / "x"), "--set", "run.minibatch=2"])
+        assert code == 1
+        assert "minibatch" in capsys.readouterr().err
+
+    def test_minibatch_on_quadratic_is_config_error(self, cfg_file):
+        from fedamp.config import build_population, build_run_config, build_schedule
+        cfg = fa.load_config(cfg_file, ["run.minibatch=2"])
+        pop = build_population(cfg)
+        sched = build_schedule(cfg, pop.N, 64, 0)
+        with pytest.raises(fa.ConfigError, match="minibatch"):
+            build_run_config(cfg, pop, sched, 0)
+
 
 class TestCliSweep:
     def test_aggregate_rows(self, cfg_file, tmp_path):
@@ -151,6 +167,22 @@ class TestCliSweep:
         # S*T held at 2*64; P tracks N/S for permutation selection
         assert [(r["S"], r["T"], r["P"]) for r in rows] == \
                [("2", "64", "4"), ("4", "32", "2"), ("8", "16", "1")]
+
+    def test_point_matches_run_with_minibatch(self, cfg_file, tmp_path):
+        # a one-point T sweep repeats the run command's run, minibatch included
+        opts = ["--set", "population.kind=logistic",
+                "--set", "population.samples_per_client=16",
+                "--set", "run.minibatch=4", "--set", "run.eval_every=4",
+                "--set", "seeds.replications=1"]
+        assert main(["run", "--config", cfg_file, "--out",
+                     str(tmp_path / "r")] + opts) == 0
+        assert main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=64"] + opts) == 0
+        with open(tmp_path / "r" / "metrics.csv") as fh:
+            final = list(csv.DictReader(fh))[-1]["min_grad_norm_sq"]
+        with open(tmp_path / "s" / "sweep.csv") as fh:
+            (point,) = list(csv.DictReader(fh))
+        assert point["min_grad_norm_sq_mean"] == final
 
     def test_empty_axis_exit_1(self, cfg_file, tmp_path):
         code = main(["sweep", "--config", cfg_file, "--out",
@@ -265,3 +297,11 @@ class TestPaperdemoShape:
         cycle, _ = paperdemo_arms(0, 0)
         per_round, _ = paperdemo_arms(0, 0, P=1)
         assert cycle["amplified"] < per_round["amplified"]
+
+
+class TestReadme:
+    def test_quick_start_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        exec(compile(block, "README.md", "exec"), {})
+        assert float(capsys.readouterr().out) >= 0.0
