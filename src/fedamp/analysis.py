@@ -43,8 +43,14 @@ class DivergenceReport:
         assert self.delta2 <= self.beta2 + tol
 
 
-def _round_quantities(offsets: np.ndarray, weights: np.ndarray, chunk: int = 1024):
-    """Per-round beta2(t), nu2(t) for constant per-client offsets (N, m)."""
+def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int,
+                      chunk: int = 1024):
+    """The participation terms of per-client offsets (N, m) under a schedule.
+
+    Returns per-round beta2(t) and nu2(t), per-round sum_n q_t^n ||offs_n||^2,
+    and delta2, the largest squared bias of the aligned P-round window
+    averages (0 when no full window fits).
+    """
     T = weights.shape[0]
     beta_t = np.empty(T)
     nu_t = np.empty(T)
@@ -54,7 +60,20 @@ def _round_quantities(offsets: np.ndarray, weights: np.ndarray, chunk: int = 102
         beta_t[lo:lo + chunk] = np.sum(b**2, axis=1)
         diff = offsets[None, :, :] - b[:, None, :]
         nu_t[lo:lo + chunk] = np.einsum("tn,tnm->t", w, diff**2)
-    return beta_t, nu_t
+    weighted_d2 = weights @ np.sum(offsets**2, axis=1)
+    n_windows = T // P
+    delta2 = 0.0
+    if n_windows:
+        b = weights[:n_windows * P] @ offsets
+        win = b.reshape(n_windows, P, -1).mean(axis=1)
+        delta2 = float(np.max(np.sum(win**2, axis=1)))
+    return beta_t, nu_t, weighted_d2, delta2
+
+
+def _offsets_at(pop, x: np.ndarray) -> np.ndarray:
+    """Client gradient offsets grad F_n(x) - grad f(x), shape (N, m)."""
+    grads = np.stack([pop.grad(n, x) for n in range(pop.N)])
+    return grads - grads.mean(axis=0, keepdims=True)
 
 
 def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
@@ -64,20 +83,14 @@ def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
     if not isinstance(pop, QuadraticPopulation):
         raise TypeError("exact mode needs a shared-curvature QuadraticPopulation; "
                         "use divergence_sampled for other populations")
-    offsets = pop.gradient_offsets()
-    w = schedule.weights
-    beta_t, nu_t = _round_quantities(offsets, w)
-    weighted_d2 = w @ np.sum(offsets**2, axis=1)
-    residual = float(np.max(np.abs(beta_t + nu_t - weighted_d2)))
-    n_windows = schedule.T // P
-    b = w[:n_windows * P] @ offsets
-    win = b.reshape(n_windows, P, -1).mean(axis=1)
-    delta2 = float(np.max(np.sum(win**2, axis=1))) if n_windows else 0.0
+    beta_t, nu_t, weighted_d2, delta2 = _round_quantities(
+        pop.gradient_offsets(), schedule.weights, P)
     return DivergenceReport(d2=pop.d2, beta2=float(beta_t.max()),
                             nu2=float(nu_t.max()), delta2=delta2, P=P,
-                            decomposition_residual=residual,
+                            decomposition_residual=float(
+                                np.max(np.abs(beta_t + nu_t - weighted_d2))),
                             max_round_sum=float((beta_t + nu_t).max()),
-                            exact=True, n_windows=n_windows)
+                            exact=True, n_windows=schedule.T // P)
 
 
 def divergence_sampled(pop, schedule: WeightSchedule, P: int,
@@ -89,27 +102,21 @@ def divergence_sampled(pop, schedule: WeightSchedule, P: int,
     points = np.atleast_2d(points)
     if points.size == 0:
         raise ValueError("empty sample set")
-    w = schedule.weights
-    n_windows = schedule.T // P
     d2 = beta2 = nu2 = delta2 = max_sum = residual = 0.0
     for x in points:
-        grads = np.stack([pop.grad(n, x) for n in range(pop.N)])
-        offsets = grads - grads.mean(axis=0, keepdims=True)
+        offsets = _offsets_at(pop, x)
+        beta_t, nu_t, weighted_d2, delta = _round_quantities(
+            offsets, schedule.weights, P)
         d2 = max(d2, float(np.max(np.sum(offsets**2, axis=1))))
-        beta_t, nu_t = _round_quantities(offsets, w)
         beta2 = max(beta2, float(beta_t.max()))
         nu2 = max(nu2, float(nu_t.max()))
+        delta2 = max(delta2, delta)
         max_sum = max(max_sum, float((beta_t + nu_t).max()))
-        weighted_d2 = w @ np.sum(offsets**2, axis=1)
         residual = max(residual, float(np.max(np.abs(beta_t + nu_t - weighted_d2))))
-        if n_windows:
-            b = w[:n_windows * P] @ offsets
-            win = b.reshape(n_windows, P, -1).mean(axis=1)
-            delta2 = max(delta2, float(np.max(np.sum(win**2, axis=1))))
     return DivergenceReport(d2=d2, beta2=beta2, nu2=nu2, delta2=delta2, P=P,
                             decomposition_residual=residual,
                             max_round_sum=max_sum, exact=False,
-                            n_windows=n_windows)
+                            n_windows=schedule.T // P)
 
 
 @dataclass(frozen=True)
@@ -127,23 +134,15 @@ def decomposition_check(pop, schedule: WeightSchedule,
     """Verify, per (round, point), that the participation-weighted divergence
     splits exactly into within-round spread plus weighted-bias terms."""
     points = np.atleast_2d(points)
-    w = schedule.weights
-    worst = 0.0
-    beta2 = nu2 = max_sum = d2 = 0.0
+    worst = beta2 = nu2 = max_sum = d2 = 0.0
     for x in points:
-        grads = np.stack([pop.grad(n, x) for n in range(pop.N)])
-        gbar = grads.mean(axis=0)
-        offs = grads - gbar
-        d2 = max(d2, float(np.max(np.sum(offs**2, axis=1))))
-        lhs = w @ np.sum(offs**2, axis=1)
-        b = w @ offs
-        beta_t = np.sum(b**2, axis=1)
-        wmean = w @ grads
-        diff = grads[None, :, :] - wmean[:, None, :]
-        nu_t = np.einsum("tn,tnm->t", w, diff**2)
+        offs = _offsets_at(pop, x)
+        beta_t, nu_t, lhs, _ = _round_quantities(offs, schedule.weights,
+                                                 schedule.T)
         rhs = beta_t + nu_t
         scale = np.maximum(np.abs(lhs), 1e-30)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
+        d2 = max(d2, float(np.max(np.sum(offs**2, axis=1))))
         beta2 = max(beta2, float(beta_t.max()))
         nu2 = max(nu2, float(nu_t.max()))
         max_sum = max(max_sum, float(rhs.max()))
@@ -295,14 +294,19 @@ def _plan_notes(gamma, eta, L, I, P, T):
     return ok, notes
 
 
-def plan_rates_adaptive(L, F0, sigma, rho, I, P, T) -> LRPlan:
-    """gamma = 1/(12 L I P sqrt(T)); eta = min(12 P sqrt(L I F0)/(sigma rho), 12 sqrt(T))."""
+def _planned_gamma(L, F0, rho, I, P, T) -> float:
+    """Check the inputs both planners share; gamma = 1/(12 L I P sqrt(T))."""
     for name, v in [("L", L), ("F0", F0), ("rho", rho), ("I", I), ("P", P), ("T", T)]:
         if v <= 0 or not np.isfinite(v):
             raise ValueError(f"{name} must be positive and finite, got {v}")
+    return 1.0 / (12.0 * L * I * P * math.sqrt(T))
+
+
+def plan_rates_adaptive(L, F0, sigma, rho, I, P, T) -> LRPlan:
+    """gamma = 1/(12 L I P sqrt(T)); eta = min(12 P sqrt(L I F0)/(sigma rho), 12 sqrt(T))."""
+    gamma = _planned_gamma(L, F0, rho, I, P, T)
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    gamma = 1.0 / (12.0 * L * I * P * math.sqrt(T))
     cap = 12.0 * math.sqrt(T)
     if sigma > 0:
         eta = min(12.0 * P * math.sqrt(L * I * F0) / (sigma * rho), cap)
@@ -314,10 +318,7 @@ def plan_rates_adaptive(L, F0, sigma, rho, I, P, T) -> LRPlan:
 
 def plan_rates_fixed_amp(L, F0, sigma, rho, I, P, T) -> LRPlan:
     """Requires sqrt(F0)/(rho sqrt(L I T)) <= 1/(L I P); fixed eta branch."""
-    for name, v in [("L", L), ("F0", F0), ("rho", rho), ("I", I), ("P", P), ("T", T)]:
-        if v <= 0 or not np.isfinite(v):
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-    gamma = 1.0 / (12.0 * L * I * P * math.sqrt(T))
+    gamma = _planned_gamma(L, F0, rho, I, P, T)
     eta = 12.0 * P * math.sqrt(L * I * F0) / rho
     lhs = math.sqrt(F0) / (rho * math.sqrt(L * I * T))
     rhs = 1.0 / (L * I * P)

@@ -84,7 +84,8 @@ def cmd_run(args) -> int:
         rep_seed = derive_seed(master, f"rep{rep}")
         sched = build_schedule(cfg, pop.N, T, rep_seed)
         rc = build_run_config(cfg, pop, sched, rep_seed)
-        plans.append(f"rep{rep}: gamma={_q17(rc.gamma)} eta={_q17(rc.eta)}")
+        plans.append(f"rep{rep}: gamma={_q17(rc.gamma)} eta={_q17(rc.eta)} "
+                     f"fallback_rounds={sched.fallback_rounds}")
         trace = run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
         for i in range(len(trace.t)):
             rows.append([rep, rep_seed, int(trace.t[i]), _q17(trace.f[i]),
@@ -162,12 +163,9 @@ def cmd_sweep(args) -> int:
         finals, failed = [], 0
         for rep in range(reps):
             rep_seed = derive_seed(master, f"rep{rep}")
-            pat = build_pattern(cfg)
-            pat = PatternSpec(kind=pat.kind, S=S, G=pat.G, B=pat.B,
-                              offset=pat.offset, p_aa=pat.p_aa, p_uu=pat.p_uu)
             try:
-                sched = generate_schedule(pat, pop.N, T,
-                                          derive_seed(rep_seed, "schedule"))
+                sched = generate_schedule(replace(build_pattern(cfg), S=S),
+                                          pop.N, T, derive_seed(rep_seed, "schedule"))
                 rc = replace(build_run_config(cfg, pop, sched, rep_seed, T=T, P=P),
                              eval_every=_auto_eval_every(cfg, T, P))
                 trace = run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
@@ -249,15 +247,16 @@ def cmd_bounds(args) -> int:
     cfg = load_config(args.config, args.set or ())
     master = _master_seed(args, cfg)
     out = _out_dir(args, cfg)
-    which = cfg.get("bounds", "check")
-    if which not in ("hoeffding", "chebyshev", "both"):
-        raise ConfigError(f"unknown bounds check: {which!r}")
     pat = build_pattern(cfg)
+    which = cfg.values.get(("bounds", "check"),
+                           "chebyshev" if pat.kind == "markov" else "hoeffding")
+    if which not in ("hoeffding", "chebyshev"):
+        raise ConfigError(f"unknown bounds check: {which!r}")
     N = cfg.get("population", "N")
 
     checks = []
     extra = []
-    if which in ("hoeffding", "both"):
+    if which == "hoeffding":
         try:
             bc = hoeffding_check(pat, N, cfg.get("bounds", "P"),
                                  cfg.get("bounds", "c"),
@@ -266,7 +265,7 @@ def cmd_bounds(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         checks.append(bc)
-    if which in ("chebyshev", "both"):
+    else:
         try:
             rep = chebyshev_mixing_check(pat, N, cfg.get("bounds", "P_list"),
                                          cfg.get("bounds", "mixing_trials"),

@@ -99,7 +99,7 @@ SCHEMA = {
     ("sweep", "axis"): (str, None),                     # T|P|S
     ("sweep", "values"): (_int_list, None),
     ("sweep", "st_fixed"): (_bool, False),
-    ("bounds", "check"): (str, "both"),                 # hoeffding|chebyshev|both
+    ("bounds", "check"): (str, None),                   # hoeffding|chebyshev; unset: by pattern
     ("bounds", "P"): (int, 64),
     ("bounds", "P_list"): (_int_list, [16, 32, 64, 128, 256, 512, 1024]),
     ("bounds", "c"): (float, 0.05),
@@ -153,6 +153,21 @@ def _schema_index(sk):
     return list(SCHEMA).index(sk)
 
 
+def _parse_value(section: str, key: str, raw: str, source: str = ""):
+    """Parse one raw value by the schema; `source` ("override ") names
+    where it came from in the error messages."""
+    if (section, key) not in SCHEMA:
+        raise ConfigError(f"unknown {source}key [{section}] {key}")
+    parser, _ = SCHEMA[(section, key)]
+    try:
+        return parser(raw)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {source}value for [{section}] {key}: "
+                          f"{raw!r} ({exc})") from exc
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str     # keys are case-sensitive (N vs n)
@@ -165,15 +180,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if section not in _SECTION_ORDER:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in cp.items(section):
-            if (section, key) not in SCHEMA:
-                raise ConfigError(f"unknown key [{section}] {key}")
-            parser, _ = SCHEMA[(section, key)]
-            try:
-                values[(section, key)] = parser(raw)
-            except ConfigError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})")
+            values[(section, key)] = _parse_value(section, key, raw)
     return ExperimentConfig(values=values, sections=tuple(cp.sections()))
 
 
@@ -185,8 +192,6 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = parse_config_text(text)
-    if not overrides:
-        return cfg
     values = dict(cfg.values)
     sections = list(cfg.sections)
     for item in overrides:
@@ -196,15 +201,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         if "." not in lhs:
             raise ConfigError(f"override key must be section.key: {lhs!r}")
         section, key = lhs.split(".", 1)
-        if (section, key) not in SCHEMA:
-            raise ConfigError(f"unknown override key [{section}] {key}")
-        parser, _ = SCHEMA[(section, key)]
-        try:
-            values[(section, key)] = parser(raw)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad override value for {lhs}: {raw!r} ({exc})")
+        values[(section, key)] = _parse_value(section, key, raw, "override ")
         if section not in sections:
             sections.append(section)
     return ExperimentConfig(values=values, sections=tuple(sections))

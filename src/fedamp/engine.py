@@ -177,21 +177,34 @@ class _LocalSteps:
         return Y
 
 
-def _checkpoint_set(cfg: RunConfig) -> set:
-    pts = set(range(0, cfg.rounds + 1, cfg.checkpoint_step))
-    pts.add(cfg.rounds)
-    return pts
-
-
 class _Recorder:
-    def __init__(self, pop, cfg):
-        self.pop = pop
-        self.boundaries = set(range(0, cfg.rounds + 1, cfg.amplify_every))
+    """What both round loops share: the input checks, the meta dict, the
+    checkpoint rows, and the trace at a divergence exit or the end."""
+
+    def __init__(self, pop, schedule: WeightSchedule, cfg: RunConfig, seed: int):
+        cfg.validate(pop)
+        if schedule.T < cfg.rounds:
+            raise ValueError(f"schedule covers {schedule.T} rounds, need {cfg.rounds}")
+        if schedule.N != pop.N:
+            raise ValueError(f"schedule has {schedule.N} clients, population "
+                             f"has {pop.N}")
+        P, T = cfg.amplify_every, cfg.rounds
+        self.pop, self.T = pop, T
+        self.checkpoints = set(range(0, T + 1, cfg.checkpoint_step)) | {T}
+        self.boundaries = set(range(0, T + 1, P))
+        self.meta = {"seed": int(seed), "pattern": schedule.pattern,
+                     "mode": cfg.mode, "gamma": cfg.gamma, "eta": cfg.eta,
+                     "I": cfg.local_steps, "P": P, "T": T,
+                     "rho": rho_bound(schedule)}
         self.t, self.f, self.g2, self.mg2, self.bnd = [], [], [], [], []
         self.running_min = np.inf
+        self.max_residual = 0.0
 
-    def record(self, t, x) -> bool:
-        """Evaluate and store a checkpoint; False if values overflowed."""
+    def checkpoint(self, t, x) -> bool:
+        """Evaluate and store the checkpoint of round t if one is due;
+        False if its values overflowed."""
+        if t not in self.checkpoints:
+            return True
         with np.errstate(over="ignore", invalid="ignore"):
             fval, g2 = checkpoint_eval(self.pop, x)
         self.t.append(t)
@@ -203,14 +216,20 @@ class _Recorder:
         self.bnd.append(t in self.boundaries)
         return bool(np.isfinite(fval) and np.isfinite(g2))
 
-    def finish(self, x, meta, diverged=False, diverged_round=None, boundary_residual=0.0):
+    def finish(self, x, diverged_round=None) -> Trace:
+        """The trace; a divergence exit passes the round it happened in."""
         return Trace(t=np.array(self.t), f=np.array(self.f),
                      grad_norm_sq=np.array(self.g2),
                      min_grad_norm_sq=np.array(self.mg2),
                      is_boundary=np.array(self.bnd, dtype=bool),
-                     x_final=x.copy(), meta=meta, diverged=diverged,
+                     x_final=np.nan_to_num(x),  # x is finite but at a non-finite exit
+                     meta=self.meta,
+                     diverged=diverged_round is not None,
                      diverged_round=diverged_round,
-                     max_boundary_residual=boundary_residual)
+                     max_boundary_residual=self.max_residual)
+
+    def final(self, x) -> Trace:
+        return self.finish(x, None if self.checkpoint(self.T, x) else self.T)
 
 
 def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
@@ -220,23 +239,14 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     Only clients with positive weight take local steps, unless
     `simulate_all`; either way only they enter the aggregate.
     """
-    cfg.validate(pop)
-    if schedule.T < cfg.rounds:
-        raise ValueError(f"schedule covers {schedule.T} rounds, need {cfg.rounds}")
     if cfg.mode != "generalized":
         return run_wait_baseline(pop, noise, schedule, cfg, seed)
-
+    rec = _Recorder(pop, schedule, cfg, seed)
     P, T = cfg.amplify_every, cfg.rounds
     x = np.array(cfg.x0, dtype=float)
     u = np.zeros(pop.m)
     t0 = 0
     x_at_t0 = x.copy()
-    max_residual = 0.0
-    checkpoints = _checkpoint_set(cfg)
-    rec = _Recorder(pop, cfg)
-    meta = {"seed": int(seed), "pattern": schedule.pattern, "mode": cfg.mode,
-            "gamma": cfg.gamma, "eta": cfg.eta, "I": cfg.local_steps,
-            "P": P, "T": T, "rho": rho_bound(schedule)}
 
     per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
     rows = pop.N if simulate_all else int(per_round.max(initial=0))
@@ -244,10 +254,8 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     everyone = np.arange(pop.N)
 
     for t in range(T):
-        if t in checkpoints:
-            if not rec.record(t, x):
-                return rec.finish(x, meta, diverged=True, diverged_round=t,
-                                  boundary_residual=max_residual)
+        if not rec.checkpoint(t, x):
+            return rec.finish(x, t)
         q = schedule.weights[t]
         active = (q > 0).nonzero()[0]
         if simulate_all:
@@ -265,19 +273,13 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
                 residual = np.linalg.norm((x - x_at_t0) - u)
                 rel = residual / max(np.linalg.norm(x), 1e-30)
             if np.isfinite(rel):
-                max_residual = max(max_residual, rel)
-            if cfg.eta != 1.0:
-                x = x + (cfg.eta - 1.0) * u
-            t0 = t + 1
-            u = np.zeros(pop.m)
+                rec.max_residual = max(rec.max_residual, rel)
+            state = amplify(RunState(x=x, u=u, t0=t0, t=t, P=P), cfg.eta)
+            x, u, t0 = state.x, state.u, state.t0
             x_at_t0 = x.copy()
         if not np.isfinite(x).all():
-            return rec.finish(np.nan_to_num(x), meta, diverged=True,
-                              diverged_round=t, boundary_residual=max_residual)
-    ok = rec.record(T, x)
-    return rec.finish(x, meta, diverged=not ok,
-                      diverged_round=None if ok else T,
-                      boundary_residual=max_residual)
+            return rec.finish(x, t)
+    return rec.final(x)
 
 
 def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
@@ -289,23 +291,17 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
     (appearance-averaged) gradient at the frozen point.  wait_full uses
     the exact gradient, wait_minibatch averages stochastic draws.
     """
-    cfg.validate(pop)
+    rec = _Recorder(pop, schedule, cfg, seed)
     if cfg.mode not in ("wait_minibatch", "wait_full"):
         raise ValueError(f"run_wait_baseline needs a wait mode, got {cfg.mode!r}")
     P, T = cfg.amplify_every, cfg.rounds
     x = np.array(cfg.x0, dtype=float)
-    checkpoints = _checkpoint_set(cfg)
-    rec = _Recorder(pop, cfg)
-    meta = {"seed": int(seed), "pattern": schedule.pattern, "mode": cfg.mode,
-            "gamma": cfg.gamma, "eta": cfg.eta, "I": cfg.local_steps,
-            "P": P, "T": T, "rho": rho_bound(schedule)}
     gen = np.random.Generator(np.random.Philox())
     kw = _grad_kwargs(cfg)
 
     for t in range(T):
-        if t in checkpoints:
-            if not rec.record(t, x):
-                return rec.finish(x, meta, diverged=True, diverged_round=t)
+        if not rec.checkpoint(t, x):
+            return rec.finish(x, t)
         if (t + 1) % P != 0:
             continue
         t_start = t + 1 - P
@@ -327,6 +323,5 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
             step += -cfg.gamma * cfg.local_steps * gbar
         x = x + step / appearing.size
         if not np.all(np.isfinite(x)):
-            return rec.finish(np.nan_to_num(x), meta, diverged=True, diverged_round=t)
-    ok = rec.record(T, x)
-    return rec.finish(x, meta, diverged=not ok, diverged_round=None if ok else T)
+            return rec.finish(x, t)
+    return rec.final(x)

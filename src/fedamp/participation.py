@@ -83,12 +83,6 @@ class WeightSchedule:
     def N(self) -> int:
         return self.weights.shape[1]
 
-    def rows(self):
-        """Sparse view: per round, list of (client, weight) pairs."""
-        for t in range(self.T):
-            nz = np.nonzero(self.weights[t])[0]
-            yield [(int(n), float(self.weights[t, n])) for n in nz]
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -99,24 +93,31 @@ class WeightSchedule:
 
 
 def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
-    """Read a raw `t,n,q` schedule file.  Rows may carry unequal weights."""
-    ts, ns, qs = [], [], []
+    """Read a raw `t,n,q` schedule file.  Rows may carry unequal weights;
+    each (t, n) pair may appear once, with t >= 0 and 0 <= n < N."""
+    entries = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t", "n", "q"]:
             raise ValueError(f"bad schedule header: {header}")
-        for row in reader:
-            ts.append(int(row[0]))
-            ns.append(int(row[1]))
-            qs.append(float(row[2]))
-    if not ts:
+        for line, row in enumerate(reader, start=2):
+            try:
+                t, n, q = int(row[0]), int(row[1]), float(row[2])
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"schedule line {line} {row}: {exc}") from exc
+            if t < 0 or not 0 <= n < (N if N is not None else np.inf):
+                raise ValueError(f"schedule line {line} {row}: need t >= 0 "
+                                 f"and 0 <= n < N (N={N})")
+            if (t, n) in entries:
+                raise ValueError(f"schedule line {line} {row}: repeats "
+                                 f"round {t}, client {n}")
+            entries[t, n] = q
+    if not entries:
         raise ValueError("empty schedule file")
-    T = max(ts) + 1
-    if N is None:
-        N = max(ns) + 1
-    weights = np.zeros((T, N))
-    weights[ts, ns] = qs
+    ts, ns = zip(*entries)
+    weights = np.zeros((max(ts) + 1, N if N is not None else max(ns) + 1))
+    weights[ts, ns] = list(entries.values())
     sched = WeightSchedule(weights=weights, pattern=f"file({path})", seed=0)
     verify_simplex(sched, strict=True)
     return sched

@@ -221,6 +221,34 @@ class TestTraceAndValidation:
             with pytest.raises(ValueError, match="minibatch"):
                 fa.run(pop, fa.NoiseModel(), sched, cfg, seed=0)
 
+    def test_schedule_with_more_clients_rejected(self):
+        pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=0.5, seed=28)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(2))
+        for mode in ("generalized", "wait_full"):
+            with pytest.raises(ValueError, match="clients"):
+                fa.run(pop, fa.NoiseModel(), full_schedule(5, 4),
+                       dataclasses.replace(cfg, mode=mode), seed=0)
+
+    def test_schedule_with_fewer_clients_rejected(self):
+        # a narrower schedule would leave the extra clients out silently
+        pop = fa.build_quadratic(N=5, m=2, L=1.0, spread=0.5, seed=29)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(2))
+        for mode in ("generalized", "wait_minibatch"):
+            with pytest.raises(ValueError, match="clients"):
+                fa.run(pop, fa.NoiseModel(), full_schedule(3, 4),
+                       dataclasses.replace(cfg, mode=mode), seed=0)
+
+    def test_wait_baseline_rejects_short_schedule(self):
+        # windows past the end of the schedule would be silently empty
+        pop = fa.build_quadratic(N=2, m=2, L=1.0, spread=0.5, seed=30)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,
+                           rounds=8, x0=np.ones(2), mode="wait_full")
+        with pytest.raises(ValueError, match="schedule covers 4 rounds"):
+            fa.run_wait_baseline(pop, fa.NoiseModel(), full_schedule(2, 4),
+                                 cfg, seed=0)
+
     def test_csv_export(self, tmp_path):
         pop = single_client_pop()
         cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,

@@ -115,6 +115,23 @@ class TestCliRun:
             rows = [r for r in csv.DictReader(fh) if r["run"] == "0"]
         assert [float(r["f"]) for r in rows] == list(tr.f)
 
+    def test_meta_reports_markov_fallback_rounds(self, cfg_file, tmp_path):
+        # a nearly always unavailable chain leaves rounds with no client
+        sets = ["pattern.kind=markov", "pattern.p_aa=0.05", "pattern.p_uu=0.99"]
+        out = tmp_path / "o"
+        args = ["run", "--config", cfg_file, "--out", str(out)]
+        for item in sets:
+            args += ["--set", item]
+        assert main(args) == 0
+        meta = (out / "meta.txt").read_text()
+        from fedamp.config import build_schedule
+        cfg = fa.load_config(cfg_file, sets)
+        for rep in range(2):
+            sched = build_schedule(cfg, 8, 64, fa.derive_seed(3, f"rep{rep}"))
+            assert sched.fallback_rounds > 0
+            (line,) = [ln for ln in meta.splitlines() if ln.startswith(f"rep{rep}:")]
+            assert line.endswith(f" fallback_rounds={sched.fallback_rounds}")
+
     def test_bad_gamma_exit_1(self, cfg_file, tmp_path, capsys):
         code = main(["run", "--config", cfg_file, "--out",
                      str(tmp_path / "x"), "--set", "run.gamma=-1"])
@@ -232,6 +249,35 @@ class TestCliBounds:
         code = main(["bounds", "--config", cfg_file, "--out",
                      str(tmp_path / "b"), "--set", "bounds.check=chebyshev"])
         assert code == 1   # chebyshev needs a markov pattern
+
+    @pytest.mark.parametrize("pattern,expect", [
+        (["pattern.kind=independent", "bounds.trials=500"], "hoeffding"),
+        (["pattern.kind=markov", "pattern.p_aa=0.9", "pattern.p_uu=0.8",
+          "bounds.P_list=4 8 16 32"], "chebyshev"),
+    ], ids=["independent", "markov"])
+    def test_default_check_follows_pattern(self, cfg_file, tmp_path, pattern,
+                                           expect):
+        out = str(tmp_path / "b")
+        args = ["bounds", "--config", cfg_file, "--out", out]
+        for item in pattern:
+            args += ["--set", item]
+        assert main(args) == 0
+        with open(out + "/bounds.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and {r["bound"] for r in rows} == {expect}
+
+    @pytest.mark.parametrize("check,reason", [
+        ("hoeffding", "independent across rounds"),
+        ("both", "unknown bounds check"),   # no pattern supports both
+    ])
+    def test_check_unfit_for_markov_exit_1(self, cfg_file, tmp_path, capsys,
+                                           check, reason):
+        code = main(["bounds", "--config", cfg_file, "--out",
+                     str(tmp_path / "b"), "--set", "pattern.kind=markov",
+                     "--set", "pattern.p_aa=0.9", "--set", "pattern.p_uu=0.8",
+                     "--set", f"bounds.check={check}"])
+        assert code == 1
+        assert reason in capsys.readouterr().err
 
 
 class TestCliPlot:

@@ -144,6 +144,19 @@ class TestDeterminismAndIO:
         with pytest.raises(ValueError):
             fa.load_schedule_csv(path)
 
+    @pytest.mark.parametrize("rows,N", [
+        ("0,0,0.5\n0,0,1.0\n", None),   # duplicate entry would overwrite
+        ("0,-1,1.0\n", 3),               # negative client would wrap
+        ("0,3,1.0\n", 3),                # client outside the population
+        ("-1,0,1.0\n", None),            # negative round
+    ], ids=["duplicate", "negative_client", "client_beyond_N", "negative_round"])
+    def test_load_rejects_bad_rows(self, tmp_path, rows, N):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,n,q\n" + rows)
+        last = len(rows.splitlines()) + 1
+        with pytest.raises(ValueError, match=f"line {last} "):
+            fa.load_schedule_csv(path, N=N)
+
     def test_load_rejects_non_simplex(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,n,q\n0,0,0.5\n0,1,0.9\n")
