@@ -170,12 +170,25 @@ def hoeffding_threshold(P: int, c: float) -> float:
     return math.log(2.0 / c) / (2.0 * P)
 
 
+def _check_bound_inputs(P_list, trials: int, c: float, max_lag: int = 0):
+    """Reject inputs the concentration checks are not defined for."""
+    if min(P_list, default=0) < 1:
+        raise ValueError(f"P must be >= 1, got {list(P_list)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 < c < 1:
+        raise ValueError(f"c must lie in (0, 1), got {c}")
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
+
+
 def hoeffding_check(spec: PatternSpec, N: int, P: int, c: float, trials: int,
                     seed: int) -> BoundCheck:
     """Empirical check of the window-concentration bound for participation
     that is independent across rounds (weights lie in [0, 1])."""
     if spec.kind not in ("independent", "full"):
         raise ValueError("hoeffding_check needs a pattern independent across rounds")
+    _check_bound_inputs([P], trials, c)
     threshold = hoeffding_threshold(P, c)
     violations = 0
     total = 0
@@ -222,6 +235,7 @@ def chebyshev_mixing_check(spec: PatternSpec, N: int, P_list, trials: int,
     """
     if spec.kind != "markov":
         raise ValueError("chebyshev_mixing_check needs a markov pattern")
+    _check_bound_inputs(P_list, trials, c, max_lag)
     P_list = sorted(int(p) for p in P_list)
     T = max(P_list) * trials
     sched = generate_schedule(spec, N, T, seed)

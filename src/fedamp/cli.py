@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: run, sweep, diagnose, bounds, plot, paperdemo.  Exit codes:
-0 success, 1 configuration error, 2 numerical failure (divergence,
-failed bound check, or ordering assertion).
+0 success, 1 configuration or usage error, 2 numerical failure
+(divergence, failed bound check, or ordering assertion).
 
 Seed discipline: the master seed (--seed or [seeds] master) is split
 into named child seeds with sha256 labeled derivation; the rule is
@@ -15,18 +15,17 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .analysis import (chebyshev_mixing_check, divergence_exact,
+from .analysis import (ball_samples, chebyshev_mixing_check, divergence_exact,
                        divergence_sampled, fit_convergence_slope,
-                       hoeffding_check)
-from .config import (ConfigError, ExperimentConfig, build_noise,
-                     build_pattern, build_population, build_run_config,
-                     build_schedule, build_x0, load_config,
-                     resolve_plan)  # noqa: F401  (perfbench/traced.py wraps it here)
+                       hoeffding_check, plan_rates_adaptive)
+# build_x0 and resolve_plan stay importable here: perfbench/traced.py wraps them
+from .config import (ConfigError, ExperimentConfig, build_noise, build_pattern,
+                     build_population, build_run_config, build_schedule,
+                     build_x0, load_config, resolve_plan)  # noqa: F401
 from .engine import RunConfig, run
 from .objectives import NoiseModel, build_quadratic
 from .participation import PatternSpec, generate_schedule
@@ -35,7 +34,10 @@ from .svg import ChartError, line_chart
 
 SEED_RULE = ("seed derivation: child = sha256('{master}:{label}')[:8] as 63-bit int; "
              "labels: rep{k} per replication, then 'schedule'/'run' per replication, "
-             "'hoeffding-{chunk}' and 'mixing' for Monte Carlo checks")
+             "'hoeffding-{chunk}' and 'mixing' for Monte Carlo checks, "
+             "'points' for diagnose sample points")
+METRICS_HEADER = ["run", "seed", "t", "f", "grad_norm_sq", "min_grad_norm_sq",
+                  "is_boundary"]
 
 
 def _q17(v: float) -> str:
@@ -54,52 +56,51 @@ def _write_meta(out_dir, cfg: ExperimentConfig | None, master: int, extra=()):
             fh.write(cfg.serialize())
 
 
-def _master_seed(args, cfg: ExperimentConfig | None) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cfg is not None:
-        return cfg.get("seeds", "master")
-    return 0
+def _write_csv(out, name, header, rows):
+    with open(os.path.join(out, name), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _out_dir(args, cfg: ExperimentConfig | None) -> str:
+def _open(args):
+    """Every command's prologue: (config or None, master seed, output dir)."""
+    cfg = None
+    if getattr(args, "config", None):
+        cfg = load_config(args.config, args.set or ())
+    master = args.seed if args.seed is not None else (
+        cfg.get("seeds", "master") if cfg is not None else 0)
     out = args.out or (cfg.get("output", "dir") if cfg is not None else "out")
     os.makedirs(out, exist_ok=True)
-    return out
+    return cfg, master, out
+
+
+def _replicate(cfg, pop, noise, master, rep):
+    """Replication `rep` of the configured run: (rep_seed, schedule, rc, trace)."""
+    rep_seed = derive_seed(master, f"rep{rep}")
+    sched = build_schedule(cfg, pop.N, cfg.get("run", "T"), rep_seed)
+    rc = build_run_config(cfg, pop, sched, rep_seed)
+    return rep_seed, sched, rc, run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    master = _master_seed(args, cfg)
-    out = _out_dir(args, cfg)
+    cfg, master, out = _open(args)
     pop = build_population(cfg)
     noise = build_noise(cfg)
-    reps = cfg.get("seeds", "replications")
-    T = cfg.get("run", "T")
 
-    rows = []
+    rows, plans = [], []
     diverged_at = None
-    plans = []
-    for rep in range(reps):
-        rep_seed = derive_seed(master, f"rep{rep}")
-        sched = build_schedule(cfg, pop.N, T, rep_seed)
-        rc = build_run_config(cfg, pop, sched, rep_seed)
+    for rep in range(cfg.get("seeds", "replications")):
+        rep_seed, sched, rc, trace = _replicate(cfg, pop, noise, master, rep)
         plans.append(f"rep{rep}: gamma={_q17(rc.gamma)} eta={_q17(rc.eta)} "
                      f"fallback_rounds={sched.fallback_rounds}")
-        trace = run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
-        for i in range(len(trace.t)):
-            rows.append([rep, rep_seed, int(trace.t[i]), _q17(trace.f[i]),
-                         _q17(trace.grad_norm_sq[i]),
-                         _q17(trace.min_grad_norm_sq[i]),
-                         int(trace.is_boundary[i])])
+        rows += [[rep, rep_seed, int(t), _q17(f), _q17(g2), _q17(m2), int(b)]
+                 for t, f, g2, m2, b in zip(trace.t, trace.f, trace.grad_norm_sq,
+                                            trace.min_grad_norm_sq, trace.is_boundary)]
         if trace.diverged and diverged_at is None:
             diverged_at = (rep, trace.diverged_round)
 
-    with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["run", "seed", "t", "f", "grad_norm_sq",
-                    "min_grad_norm_sq", "is_boundary"])
-        w.writerows(rows)
+    _write_csv(out, "metrics.csv", METRICS_HEADER, rows)
     _write_meta(out, cfg, master, plans)
     if diverged_at is not None:
         print(f"error: run {diverged_at[0]} diverged at round {diverged_at[1]}",
@@ -109,8 +110,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(cfg, axis, value):
-    """Resolve (T, P, S) for one sweep point."""
+def _sweep_point(cfg, axis, value) -> ExperimentConfig:
+    """The config of one sweep point: T, P, S and eval_every resolved."""
     T = cfg.get("run", "T")
     P = cfg.get("run", "P")
     S = cfg.get("pattern", "S")
@@ -126,104 +127,85 @@ def _sweep_point(cfg, axis, value):
         S = value
         N = cfg.get("population", "N")
         if cfg.get("pattern", "kind") == "permutation":
-            if N % S != 0:
+            if S <= 0 or N % S != 0:
                 raise ConfigError(f"permutation sweep needs S | N, got S={S}")
             P = N // S
     else:
         raise ConfigError(f"unknown sweep axis: {axis!r}")
-    return T, P, S
-
-
-def _auto_eval_every(cfg, T, P):
     ev = cfg.get("run", "eval_every")
-    if ev > 0:
-        return ev
-    # keep the checkpoint count comparable across sweep points
-    return max(P, (T // 64) // P * P)
+    if ev <= 0 < P:
+        # keep the checkpoint count comparable across sweep points
+        ev = max(P, (T // 64) // P * P)
+    return ExperimentConfig({**cfg.values, ("run", "T"): T, ("run", "P"): P,
+                             ("pattern", "S"): S, ("run", "eval_every"): ev})
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    if not cfg.has_section("sweep"):
-        raise ConfigError("sweep needs a [sweep] section")
+    cfg, master, out = _open(args)
     axis = cfg.get("sweep", "axis")
     values = cfg.get("sweep", "values")
     if not values:
         raise ConfigError("sweep axis has no values")
-    master = _master_seed(args, cfg)
-    out = _out_dir(args, cfg)
     pop = build_population(cfg)
     noise = build_noise(cfg)
-    reps = cfg.get("seeds", "replications")
 
-    agg_rows = []
-    all_failed = True
+    rows = []
     for value in values:
-        T, P, S = _sweep_point(cfg, axis, value)
+        point = _sweep_point(cfg, axis, value)
         finals, failed = [], 0
-        for rep in range(reps):
-            rep_seed = derive_seed(master, f"rep{rep}")
+        for rep in range(cfg.get("seeds", "replications")):
             try:
-                sched = generate_schedule(replace(build_pattern(cfg), S=S),
-                                          pop.N, T, derive_seed(rep_seed, "schedule"))
-                rc = replace(build_run_config(cfg, pop, sched, rep_seed, T=T, P=P),
-                             eval_every=_auto_eval_every(cfg, T, P))
-                trace = run(pop, noise, sched, rc, derive_seed(rep_seed, "run"))
-            except (ConfigError, ValueError) as exc:
+                trace = _replicate(point, pop, noise, master, rep)[3]
+            except ValueError as exc:
                 print(f"point {axis}={value} rep {rep} failed: {exc}",
                       file=sys.stderr)
                 failed += 1
                 continue
             if trace.diverged:
                 failed += 1
-                continue
-            finals.append(trace.final_min_grad_norm_sq)
-        if finals:
-            all_failed = False
-            agg_rows.append([axis, value, T, P, S, len(finals), failed,
-                             _q17(np.mean(finals)), _q17(np.std(finals)),
-                             _q17(np.median(finals))])
-        else:
-            agg_rows.append([axis, value, T, P, S, 0, failed, "nan", "nan", "nan"])
+            else:
+                finals.append(trace.final_min_grad_norm_sq)
+        stats = ([_q17(fn(finals)) for fn in (np.mean, np.std, np.median)]
+                 if finals else ["nan"] * 3)
+        rows.append([axis, value, point.get("run", "T"), point.get("run", "P"),
+                     point.get("pattern", "S"), len(finals), failed, *stats])
 
-    with open(os.path.join(out, "sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["axis", "value", "T", "P", "S", "runs", "failed",
-                    "min_grad_norm_sq_mean", "min_grad_norm_sq_std",
-                    "min_grad_norm_sq_median"])
-        w.writerows(agg_rows)
-
+    _write_csv(out, "sweep.csv",
+               ["axis", "value", "T", "P", "S", "runs", "failed",
+                "min_grad_norm_sq_mean", "min_grad_norm_sq_std",
+                "min_grad_norm_sq_median"], rows)
     extra = []
-    good = [(r[1], float(r[9])) for r in agg_rows if r[5] > 0]
-    if axis == "T" and len(good) >= 2:
-        fit = fit_convergence_slope([g[0] for g in good], [g[1] for g in good])
+    # the fit needs three points with a positive median
+    good = [(r[1], float(r[9])) for r in rows if r[5] > 0 and float(r[9]) > 0]
+    if axis == "T" and len(good) >= 3:
+        fit = fit_convergence_slope(*zip(*good))
         extra.append(f"slope_fit = {_q17(fit.slope)} +- {_q17(fit.stderr)}")
         print(f"fitted log-log slope: {fit.slope:.4f}")
     _write_meta(out, cfg, master, extra)
-    if all_failed:
+    if not any(r[5] for r in rows):
         print("error: every sweep point failed", file=sys.stderr)
         return 2
-    print(f"wrote {len(agg_rows)} aggregate rows to {out}/sweep.csv")
+    print(f"wrote {len(rows)} aggregate rows to {out}/sweep.csv")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    master = _master_seed(args, cfg)
-    out = _out_dir(args, cfg)
+    cfg, master, out = _open(args)
     pop = build_population(cfg)
     T = cfg.get("run", "T")
     sched = build_schedule(cfg, pop.N, T, derive_seed(master, "rep0"))
-    P_list = cfg.get("diagnose", "P_list")
     points = cfg.get("diagnose", "points")
+    if points > 0:
+        center = getattr(pop, "x_star", None)
+        pts = ball_samples(np.zeros(pop.m) if center is None else center,
+                           cfg.get("run", "x0_scale"), points,
+                           derive_seed(master, "points"))
 
     rows = []
-    for P in P_list:
+    for P in cfg.get("diagnose", "P_list"):
         if P < 1 or P > T:
             raise ConfigError(f"diagnose P={P} outside [1, T={T}]")
         if points > 0:
-            pts = [build_x0(cfg, pop, derive_seed(master, f"point{i}"))
-                   for i in range(points)]
             rep = divergence_sampled(pop, sched, P, pts)
         else:
             try:
@@ -234,19 +216,15 @@ def cmd_diagnose(args) -> int:
         rows.append([P, _q17(rep.beta2), _q17(rep.nu2), _q17(rep.delta2),
                      _q17(rep.d2), int(rep.exact)])
 
-    with open(os.path.join(out, "divergence.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["P", "beta2", "nu2", "delta2", "d2", "exact"])
-        w.writerows(rows)
+    _write_csv(out, "divergence.csv", ["P", "beta2", "nu2", "delta2", "d2", "exact"],
+               rows)
     _write_meta(out, cfg, master)
     print(f"wrote {len(rows)} divergence rows to {out}/divergence.csv")
     return 0
 
 
 def cmd_bounds(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    master = _master_seed(args, cfg)
-    out = _out_dir(args, cfg)
+    cfg, master, out = _open(args)
     pat = build_pattern(cfg)
     which = cfg.values.get(("bounds", "check"),
                            "chebyshev" if pat.kind == "markov" else "hoeffding")
@@ -254,38 +232,30 @@ def cmd_bounds(args) -> int:
         raise ConfigError(f"unknown bounds check: {which!r}")
     N = cfg.get("population", "N")
 
-    checks = []
     extra = []
-    if which == "hoeffding":
-        try:
-            bc = hoeffding_check(pat, N, cfg.get("bounds", "P"),
-                                 cfg.get("bounds", "c"),
-                                 cfg.get("bounds", "trials"),
-                                 derive_seed(master, "hoeffding"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        checks.append(bc)
-    else:
-        try:
+    try:
+        if which == "hoeffding":
+            checks = [hoeffding_check(pat, N, cfg.get("bounds", "P"),
+                                      cfg.get("bounds", "c"),
+                                      cfg.get("bounds", "trials"),
+                                      derive_seed(master, "hoeffding"))]
+        else:
             rep = chebyshev_mixing_check(pat, N, cfg.get("bounds", "P_list"),
                                          cfg.get("bounds", "mixing_trials"),
                                          derive_seed(master, "mixing"),
                                          c=cfg.get("bounds", "chebyshev_c"),
                                          max_lag=cfg.get("bounds", "max_lag"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        checks.extend(rep.chebyshev)
-        extra.append(f"variance_slope = {_q17(rep.slope)}")
-        extra.append(f"cov_ratio = {_q17(rep.cov_ratio)}")
-        extra.append(f"long_run_variance = {_q17(rep.upsilon_hat2)}")
+            checks = rep.chebyshev
+            extra = [f"variance_slope = {_q17(rep.slope)}",
+                     f"cov_ratio = {_q17(rep.cov_ratio)}",
+                     f"long_run_variance = {_q17(rep.upsilon_hat2)}"]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    with open(os.path.join(out, "bounds.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bound", "P", "c", "threshold", "trials",
-                    "violation_rate", "pass"])
-        for bc in checks:
-            w.writerow([bc.bound, bc.P, _q17(bc.c), _q17(bc.threshold),
-                        bc.trials, _q17(bc.violation_rate), int(bc.passed)])
+    _write_csv(out, "bounds.csv",
+               ["bound", "P", "c", "threshold", "trials", "violation_rate", "pass"],
+               [[bc.bound, bc.P, _q17(bc.c), _q17(bc.threshold), bc.trials,
+                 _q17(bc.violation_rate), int(bc.passed)] for bc in checks])
     _write_meta(out, cfg, master, extra)
     bad = [bc for bc in checks if not bc.passed]
     if bad:
@@ -305,8 +275,7 @@ def _read_metrics(path):
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["run", "seed", "t", "f", "grad_norm_sq",
-                      "min_grad_norm_sq", "is_boundary"]:
+        if header != METRICS_HEADER:
             raise ChartError(f"{path}: unexpected header {header}")
         for i, row in enumerate(reader, start=2):
             try:
@@ -322,15 +291,12 @@ def _read_metrics(path):
 
 
 def cmd_plot(args) -> int:
+    cfg, _, out = _open(args)
     paths = list(args.inputs)
-    cfg = None
-    if args.config:
-        cfg = load_config(args.config, args.set or ())
-        if not paths:
-            paths = [os.path.join(cfg.get("output", "dir"), "metrics.csv")]
+    if not paths and cfg is not None:
+        paths = [os.path.join(cfg.get("output", "dir"), "metrics.csv")]
     if not paths:
         raise ChartError("no input CSVs given")
-    out = _out_dir(args, cfg)
     series = []
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -338,7 +304,7 @@ def cmd_plot(args) -> int:
             label = f"{stem}:{rid}" if len(paths) > 1 else f"run {rid}"
             series.append((label, ts, g2s))
     svg = line_chart(series, title="gradient norm squared over rounds",
-                     x_label="round", y_label="||grad f||^2", log_y=True)
+                     x_label="round", y_label="||grad f||^2")
     target = os.path.join(out, "metrics.svg")
     with open(target, "w") as fh:
         fh.write(svg)
@@ -366,30 +332,24 @@ def paperdemo_arms(master: int, seed_index: int, P: int | None = None):
     spec = PatternSpec("periodic", S=d["S"], G=d["G"], B=d["B"], offset="random")
     sched = generate_schedule(spec, d["N"], d["T"], derive_seed(seed, "schedule"))
 
-    from .analysis import plan_rates_adaptive
     plan = plan_rates_adaptive(d["L"], gap, d["sigma"], rho, d["I"], P, d["T"])
-    base = dict(local_steps=d["I"], amplify_every=P, rounds=d["T"], x0=x0)
-    arms = {}
-    traces = {}
-    rc = RunConfig(gamma=plan.gamma, eta=plan.eta, **base)
-    traces["amplified"] = run(pop, noise, sched, rc, derive_seed(seed, "amp"))
-    rc = RunConfig(gamma=plan.gamma, eta=1.0, **base)
-    traces["no_amplification"] = run(pop, noise, sched, rc, derive_seed(seed, "amp"))
     # wait arms: one global step per P-round window, planned as a run with
     # T/P rounds, no amplification, and noise averaged over appearances
     gamma_wait = 1.0 / (12.0 * d["L"] * d["I"] * np.sqrt(d["T"] / P))
-    for mode in ("wait_minibatch", "wait_full"):
-        rc = RunConfig(gamma=gamma_wait, eta=1.0, mode=mode, **base)
-        traces[mode] = run(pop, noise, sched, rc, derive_seed(seed, "wait"))
-    for arm, tr in traces.items():
-        arms[arm] = tr.final_min_grad_norm_sq
-    return arms, traces
+    arms = [("amplified", plan.gamma, plan.eta, "generalized", "amp"),
+            ("no_amplification", plan.gamma, 1.0, "generalized", "amp"),
+            ("wait_minibatch", gamma_wait, 1.0, "wait_minibatch", "wait"),
+            ("wait_full", gamma_wait, 1.0, "wait_full", "wait")]
+    traces = {arm: run(pop, noise, sched,
+                       RunConfig(gamma=gamma, eta=eta, mode=mode, local_steps=d["I"],
+                                 amplify_every=P, rounds=d["T"], x0=x0),
+                       derive_seed(seed, label))
+              for arm, gamma, eta, mode, label in arms}
+    return {arm: tr.final_min_grad_norm_sq for arm, tr in traces.items()}, traces
 
 
 def cmd_paperdemo(args) -> int:
-    master = args.seed if args.seed is not None else 0
-    out = args.out or "out"
-    os.makedirs(out, exist_ok=True)
+    _, master, out = _open(args)
     d = DEMO
 
     rows = []
@@ -411,14 +371,12 @@ def cmd_paperdemo(args) -> int:
                 tr = traces[arm]
                 svg_series.append((arm, tr.t, tr.grad_norm_sq))
 
-    with open(os.path.join(out, "paperdemo.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["arm", "seed_index", "final_min_grad_norm_sq"])
-        w.writerows(rows)
+    _write_csv(out, "paperdemo.csv", ["arm", "seed_index", "final_min_grad_norm_sq"],
+               rows)
     with open(os.path.join(out, "paperdemo.svg"), "w") as fh:
         fh.write(line_chart(svg_series,
                             title="periodic availability: amplification vs waiting",
-                            x_label="round", y_label="||grad f||^2", log_y=True))
+                            x_label="round", y_label="||grad f||^2"))
     _write_meta(out, None, master,
                 [f"protocol = {d}", f"ordered_seeds = {ordered}/{d['seeds']}"])
     print(f"ordering held in {ordered}/{d['seeds']} seeds")
@@ -434,21 +392,22 @@ def main(argv=None) -> int:
                                  description="federated averaging with "
                                              "amplified updates")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, needs_cfg in [("run", cmd_run, True),
-                                ("sweep", cmd_sweep, True),
-                                ("diagnose", cmd_diagnose, True),
-                                ("bounds", cmd_bounds, True),
-                                ("plot", cmd_plot, False),
-                                ("paperdemo", cmd_paperdemo, False)]:
+    for name, fn in [("run", cmd_run), ("sweep", cmd_sweep),
+                     ("diagnose", cmd_diagnose), ("bounds", cmd_bounds),
+                     ("plot", cmd_plot), ("paperdemo", cmd_paperdemo)]:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_cfg and name != "plot")
-        p.add_argument("--set", action="append", metavar="section.key=value")
+        if name != "paperdemo":
+            p.add_argument("--config", required=name != "plot")
+            p.add_argument("--set", action="append", metavar="section.key=value")
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
         if name == "plot":
             p.add_argument("inputs", nargs="*", metavar="metrics.csv")
         p.set_defaults(func=fn)
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:   # usage errors are configuration errors
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, ChartError) as exc:

@@ -33,8 +33,11 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _float_list(text: str):
-    return [float(v) for v in text.replace(",", " ").split()]
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return value
 
 
 def _int_list(text: str):
@@ -110,7 +113,7 @@ SCHEMA = {
     ("diagnose", "P_list"): (_int_list, [1, 2, 4, 8]),
     ("diagnose", "points"): (int, 0),                   # 0: exact mode
     ("seeds", "master"): (int, 0),
-    ("seeds", "replications"): (int, 1),
+    ("seeds", "replications"): (_count, 1),
     ("output", "dir"): (str, "out"),
 }
 
@@ -123,7 +126,6 @@ class ExperimentConfig:
     """Validated, typed view of a config file."""
 
     values: dict = field(default_factory=dict)   # (section, key) -> value
-    sections: tuple = ()
 
     def get(self, section: str, key: str):
         if (section, key) in self.values:
@@ -132,9 +134,6 @@ class ExperimentConfig:
         if default is None:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
-
-    def has_section(self, section: str) -> bool:
-        return section in self.sections
 
     def serialize(self) -> str:
         lines = []
@@ -181,7 +180,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in cp.items(section):
             values[(section, key)] = _parse_value(section, key, raw)
-    return ExperimentConfig(values=values, sections=tuple(cp.sections()))
+    return ExperimentConfig(values)
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
@@ -191,9 +190,8 @@ def load_config(path, overrides=()) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config_text(text)
-    values = dict(cfg.values)
-    sections = list(cfg.sections)
+    parsed = parse_config_text(text)
+    updates = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -201,10 +199,8 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         if "." not in lhs:
             raise ConfigError(f"override key must be section.key: {lhs!r}")
         section, key = lhs.split(".", 1)
-        values[(section, key)] = _parse_value(section, key, raw, "override ")
-        if section not in sections:
-            sections.append(section)
-    return ExperimentConfig(values=values, sections=tuple(sections))
+        updates[(section, key)] = _parse_value(section, key, raw, "override ")
+    return ExperimentConfig({**parsed.values, **updates})
 
 
 # -- resolution into runnable objects ---------------------------------------
@@ -286,17 +282,14 @@ def build_x0(cfg: ExperimentConfig, pop, master_seed: int) -> np.ndarray:
     raise ConfigError(f"unknown x0 kind: {kind!r}")
 
 
-def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0,
-                 T: int | None = None, P: int | None = None):
-    """Return (gamma, eta, plan_or_None) honoring the planner directive."""
+def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
+    """Return (gamma, eta) honoring the planner directive."""
     planner = cfg.get("run", "planner")
-    P = P if P is not None else cfg.get("run", "P")
-    T = T if T is not None else cfg.get("run", "T")
     if planner == "none":
         gamma = cfg.get("run", "gamma")
         if gamma <= 0:
             raise ConfigError(f"gamma must be positive, got {gamma}")
-        return gamma, cfg.get("run", "eta"), None
+        return gamma, cfg.get("run", "eta")
     gap = cfg.get("run", "gap")
     if gap == "exact":
         f_star = getattr(pop, "f_star", None)
@@ -306,32 +299,32 @@ def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0,
     L = pop.lipschitz
     sigma = cfg.get("population", "sigma") if cfg.get("population", "noise") != "none" else 0.0
     rho = rho_bound(schedule)
-    I = cfg.get("run", "I")
-    if planner == "cor3.2":
-        plan = plan_rates_adaptive(L, gap, sigma, rho, I, P, T)
-    elif planner == "cor3.3":
-        plan = plan_rates_fixed_amp(L, gap, sigma, rho, I, P, T)
-    else:
+    I, P, T = cfg.get("run", "I"), cfg.get("run", "P"), cfg.get("run", "T")
+    planners = {"cor3.2": plan_rates_adaptive, "cor3.3": plan_rates_fixed_amp}
+    if planner not in planners:
         raise ConfigError(f"unknown planner: {planner!r}")
+    try:
+        plan = planners[planner](L, gap, sigma, rho, I, P, T)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not plan.valid:
         raise ConfigError(f"planner produced an invalid plan: {plan.notes}")
-    return plan.gamma, plan.eta, plan
+    return plan.gamma, plan.eta
 
 
 def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
-                     T: int | None = None, P: int | None = None) -> RunConfig:
+                     T: int | None = None) -> RunConfig:
+    cfg = cfg if T is None else ExperimentConfig({**cfg.values, ("run", "T"): T})
     x0 = build_x0(cfg, pop, master_seed)
-    P = P if P is not None else cfg.get("run", "P")
-    T = T if T is not None else cfg.get("run", "T")
-    gamma, eta, _ = resolve_plan(cfg, pop, schedule, x0, T=T, P=P)
+    gamma, eta = resolve_plan(cfg, pop, schedule, x0)
     mode = cfg.get("run", "mode")
     if mode not in MODES:
         raise ConfigError(f"unknown run mode: {mode!r}")
     ev = cfg.get("run", "eval_every")
     mb = cfg.get("run", "minibatch")
     rc = RunConfig(gamma=gamma, eta=eta, local_steps=cfg.get("run", "I"),
-                   amplify_every=P, rounds=T, x0=x0,
-                   eval_every=ev if ev > 0 else None, mode=mode,
+                   amplify_every=cfg.get("run", "P"), rounds=cfg.get("run", "T"),
+                   x0=x0, eval_every=ev if ev > 0 else None, mode=mode,
                    minibatch=mb if mb > 0 else None)
     try:
         rc.validate(pop)
@@ -340,10 +333,9 @@ def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
     return rc
 
 
-def build_schedule(cfg: ExperimentConfig, N: int, T: int, master_seed: int,
-                   label: str = "schedule"):
-    spec = build_pattern(cfg)
+def build_schedule(cfg: ExperimentConfig, N: int, T: int, master_seed: int):
     try:
-        return generate_schedule(spec, N, T, derive_seed(master_seed, label))
+        return generate_schedule(build_pattern(cfg), N, T,
+                                 derive_seed(master_seed, "schedule"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,7 +2,8 @@
 
 Byte-identical output for identical input: all coordinates are formatted
 with fixed precision and no timestamps or random ids are embedded.
-Intended for convergence curves, so the y axis defaults to log scale.
+Intended for convergence curves: a linear x axis, a log y axis, and a
+fixed 720x460 canvas.
 """
 
 from __future__ import annotations
@@ -56,13 +57,11 @@ class ChartError(ValueError):
     pass
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               log_x: bool = False, log_y: bool = True,
-               width: int = 720, height: int = 460) -> str:
+def line_chart(series, title: str = "", x_label: str = "", y_label: str = "") -> str:
     """Render labeled (x, y) series to a standalone SVG string.
 
-    series: list of (label, x_values, y_values).  Non-positive values are
-    dropped on log axes; a series with no plottable point is an error.
+    series: list of (label, x_values, y_values).  Non-positive y values are
+    dropped (log axis); a series with no plottable point is an error.
     """
     if not series:
         raise ChartError("no series to plot")
@@ -72,11 +71,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ChartError(f"series {label!r}: x and y must be equal-length vectors")
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if log_x:
-            keep &= xs > 0
-        if log_y:
-            keep &= ys > 0
+        keep = np.isfinite(xs) & np.isfinite(ys) & (ys > 0)
         xs, ys = xs[keep], ys[keep]
         if xs.size == 0:
             raise ChartError(f"series {label!r} has no plottable points")
@@ -89,23 +84,17 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_lo == y_hi:
-        y_lo, y_hi = (y_lo / 2, y_hi * 2) if log_y else (y_lo - 0.5, y_hi + 0.5)
+        y_lo, y_hi = y_lo / 2, y_hi * 2
 
+    width, height = 720, 460
     plot_w = width - _MARGIN_L - _MARGIN_R
     plot_h = height - _MARGIN_T - _MARGIN_B
 
     def sx(v):
-        if log_x:
-            frac = (math.log10(v) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            frac = (v - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + frac * plot_w
+        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(v):
-        if log_y:
-            frac = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            frac = (v - y_lo) / (y_hi - y_lo)
+        frac = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         return _MARGIN_T + (1.0 - frac) * plot_h
 
     out = []
@@ -118,8 +107,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         out.append(f'<text x="{width // 2}" y="20" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="14">{_escape(title)}</text>')
 
-    x_ticks = _log_ticks(x_lo, x_hi) if log_x else _linear_ticks(x_lo, x_hi)
-    for v in x_ticks:
+    for v in _linear_ticks(x_lo, x_hi):
         if not x_lo <= v <= x_hi:
             continue
         px = sx(v)
@@ -128,8 +116,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         out.append(f'<text x="{_fmt(px)}" y="{_MARGIN_T + plot_h + 16}" '
                    f'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="11">{_tick_label(v)}</text>')
-    y_ticks = _log_ticks(y_lo, y_hi) if log_y else _linear_ticks(y_lo, y_hi)
-    for v in y_ticks:
+    for v in _log_ticks(y_lo, y_hi):
         if not y_lo <= v <= y_hi:
             continue
         py = sy(v)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fedamp as fa
+from fedamp import cli
 from fedamp.cli import main, paperdemo_arms
 from fedamp.svg import line_chart
 
@@ -138,6 +139,12 @@ class TestCliRun:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_bad_planner_input_exit_1(self, cfg_file, tmp_path, capsys):
+        code = main(["run", "--config", cfg_file, "--out", str(tmp_path / "x"),
+                     "--set", "run.planner=cor3.2", "--set", "run.gap=-1"])
+        assert code == 1
+        assert "F0 must be positive" in capsys.readouterr().err
+
     def test_divergence_exit_2_names_round(self, cfg_file, tmp_path, capsys):
         code = main(["run", "--config", cfg_file, "--out",
                      str(tmp_path / "x"), "--set", "run.gamma=10"])
@@ -146,6 +153,25 @@ class TestCliRun:
 
     def test_unreadable_config_exit_1(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run"],                                          # no --config
+        ["run", "--config", "x.cfg", "--seed", "abc"],
+        ["paperdemo", "--config", "x.cfg"],               # paperdemo takes none
+        ["nosuchcommand"],
+    ])
+    def test_usage_error_exit_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_zero_replications_exit_1(self, cfg_file, tmp_path, capsys, command):
+        code = main([command, "--config", cfg_file, "--out", str(tmp_path / "x"),
+                     "--set", "seeds.replications=0", "--set", "sweep.axis=T",
+                     "--set", "sweep.values=64"])
+        assert code == 1
+        assert "replications" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_minibatch_on_quadratic_exit_1(self, cfg_file, tmp_path, capsys):
         code = main(["run", "--config", cfg_file, "--out",
@@ -213,6 +239,24 @@ class TestCliSweep:
                      "--set", "run.gamma=10"])
         assert code == 2
 
+    def test_two_point_T_sweep_skips_slope_fit(self, cfg_file, tmp_path):
+        # a log-log fit needs three points; two still make a sweep
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg_file, "--out", str(out),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=64 128"])
+        assert code == 0
+        assert "slope_fit" not in (out / "meta.txt").read_text()
+
+    def test_missing_sweep_section_exit_1(self, cfg_file, tmp_path, capsys):
+        assert main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s")]) == 1
+        assert "missing required key [sweep] axis" in capsys.readouterr().err
+
+    def test_zero_S_on_permutation_exit_1(self, cfg_file, tmp_path, capsys):
+        code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
+                     "--set", "sweep.axis=S", "--set", "sweep.values=0 2"])
+        assert code == 1
+        assert "S | N" in capsys.readouterr().err
+
 
 class TestCliDiagnose:
     def test_permutation_alignment(self, cfg_file, tmp_path):
@@ -230,6 +274,26 @@ class TestCliDiagnose:
         code = main(["diagnose", "--config", cfg_file, "--out",
                      str(tmp_path / "d"), "--set", "population.kind=logistic"])
         assert code == 1
+
+    def test_sampled_mode_draws_distinct_points_once(self, cfg_file, tmp_path,
+                                                     monkeypatch):
+        seen, real = [], cli.divergence_sampled
+
+        def spy(pop, sched, P, points):
+            seen.append(points)
+            return real(pop, sched, P, points)
+        monkeypatch.setattr(cli, "divergence_sampled", spy)
+        tables = []
+        for k in (1, 4):
+            out = tmp_path / f"d{k}"
+            assert main(["diagnose", "--config", cfg_file, "--out", str(out),
+                         "--set", "population.kind=logistic",
+                         "--set", f"diagnose.points={k}"]) == 0
+            tables.append((out / "divergence.csv").read_text())
+        points = seen[-1]
+        assert len(np.unique(points, axis=0)) == 4
+        assert all(p is points for p in seen[-4:])   # one draw for every P
+        assert tables[0] != tables[1]
 
 
 class TestCliBounds:
@@ -278,6 +342,27 @@ class TestCliBounds:
                      "--set", f"bounds.check={check}"])
         assert code == 1
         assert reason in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key,value,name", [
+        ("bounds.trials", "0", "trials"),
+        ("bounds.P", "0", "P"),
+        ("bounds.c", "0", "c"),
+        ("bounds.c", "2", "c"),
+        ("bounds.chebyshev_c", "0", "c"),
+        ("bounds.mixing_trials", "0", "trials"),
+        ("bounds.max_lag", "-1", "max_lag"),
+        ("bounds.P_list", "0 4", "P"),
+    ])
+    def test_out_of_range_parameter_exit_1(self, cfg_file, tmp_path, capsys,
+                                           key, value, name):
+        pattern = "independent" if key in ("bounds.trials", "bounds.P",
+                                           "bounds.c") else "markov"
+        code = main(["bounds", "--config", cfg_file, "--out", str(tmp_path / "b"),
+                     "--set", f"pattern.kind={pattern}", "--set", "pattern.p_aa=0.9",
+                     "--set", "pattern.p_uu=0.8", "--set", f"{key}={value}"])
+        assert code == 1
+        assert f"error: {name} must" in capsys.readouterr().err
 
 
 class TestCliPlot:

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import fedamp as fa
 from fedamp.analysis import _round_quantities
+from fedamp.config import SCHEMA, _bool, _count, _gap, _int_list, _offset
 from fedamp.engine import RunState
 
 # values k/1000 for |k| <= 10^6: wide range, no subnormal squares
@@ -62,3 +63,58 @@ def test_amplification_identity(state, eta):
 @given(boundary_states())
 def test_eta_one_leaves_x_bitwise(state):
     assert fa.amplify(state, 1.0).x.tobytes() == state.x.tobytes()
+
+
+# one strategy per schema parser: every value it can produce from text
+FINITE = st.floats(allow_nan=False)
+PARSED = {int: st.integers(-10**12, 10**12), float: FINITE, _bool: st.booleans(),
+          _count: st.integers(1, 10**6),
+          str: st.from_regex(r"[A-Za-z0-9_.+-]{1,12}", fullmatch=True),
+          _int_list: st.lists(st.integers(-10**6, 10**6), max_size=6),
+          _offset: st.one_of(st.just("random"), st.integers(0, 10**6)),
+          _gap: st.one_of(st.just("exact"), FINITE)}
+
+
+@st.composite
+def configs(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True))
+    return fa.ExperimentConfig({k: draw(PARSED[SCHEMA[k][0]]) for k in keys})
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+def test_config_round_trip(cfg):
+    assert fa.parse_config_text(cfg.serialize()).values == cfg.values
+
+
+@st.composite
+def small_runs(draw):
+    """A population, a noise model, a schedule, and two intervals P."""
+    N, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["diagonal", "rotated", "logistic"]))
+    seed = draw(st.integers(0, 2**32))
+    if kind == "logistic":
+        pop = fa.build_logistic(N, m, 4, seed)
+    else:
+        pop = fa.build_quadratic(N, m, 1.0, 0.5, seed, rotate=kind == "rotated")
+    noise = fa.NoiseModel(draw(st.sampled_from(["none", "gaussian", "sphere"])), 0.5)
+    T = draw(st.integers(1, 16))
+    spec = draw(st.one_of(st.just(fa.PatternSpec("full")),
+                          st.integers(1, N).map(
+                              lambda S: fa.PatternSpec("independent", S=S))))
+    sched = fa.generate_schedule(spec, N, T, seed)
+    Ps = draw(st.lists(st.integers(1, T), min_size=2, max_size=2))
+    return pop, noise, sched, T, Ps, draw(st.integers(1, 3)), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_runs())
+def test_interval_invariance_at_eta_one(case):
+    # without amplification the interval boundaries leave the trajectory alone
+    pop, noise, sched, T, Ps, I, seed = case
+    a, b = (fa.run(pop, noise, sched,
+                   fa.RunConfig(gamma=0.05, eta=1.0, local_steps=I, amplify_every=P,
+                                rounds=T, x0=np.ones(pop.m), eval_every=1), seed)
+            for P in Ps)
+    assert a.x_final.tobytes() == b.x_final.tobytes()
+    assert a.f.tobytes() == b.f.tobytes()
