@@ -93,21 +93,32 @@ def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
                             exact=True, n_windows=schedule.T // P)
 
 
+def sample_offsets(pop, points: np.ndarray) -> np.ndarray:
+    """Client offsets at each sample point, shape (k, N, m): N gradients a point."""
+    points = np.atleast_2d(points)
+    if points.size == 0:
+        raise ValueError("empty sample set")
+    return np.stack([_offsets_at(pop, x) for x in points])
+
+
 def divergence_sampled(pop, schedule: WeightSchedule, P: int,
                        points: np.ndarray) -> DivergenceReport:
     """Sampled mode: maxima over the supplied evaluation points.
 
     The reported values are lower bounds of the true suprema over x.
     """
-    points = np.atleast_2d(points)
-    if points.size == 0:
-        raise ValueError("empty sample set")
+    return divergence_at_offsets(sample_offsets(pop, points), schedule, P)
+
+
+def divergence_at_offsets(offsets: np.ndarray, schedule: WeightSchedule,
+                          P: int) -> DivergenceReport:
+    """`divergence_sampled` from the offsets of its points (`sample_offsets`),
+    so that several P share one set of gradients."""
     d2 = beta2 = nu2 = delta2 = max_sum = residual = 0.0
-    for x in points:
-        offsets = _offsets_at(pop, x)
+    for offs in offsets:
         beta_t, nu_t, weighted_d2, delta = _round_quantities(
-            offsets, schedule.weights, P)
-        d2 = max(d2, float(np.max(np.sum(offsets**2, axis=1))))
+            offs, schedule.weights, P)
+        d2 = max(d2, float(np.max(np.sum(offs**2, axis=1))))
         beta2 = max(beta2, float(beta_t.max()))
         nu2 = max(nu2, float(nu_t.max()))
         delta2 = max(delta2, delta)

@@ -19,9 +19,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import (ball_samples, chebyshev_mixing_check, divergence_exact,
-                       divergence_sampled, fit_convergence_slope,
-                       hoeffding_check, plan_rates_adaptive)
+from .analysis import (ball_samples, chebyshev_mixing_check, divergence_at_offsets,
+                       divergence_exact, fit_convergence_slope,
+                       hoeffding_check, plan_rates_adaptive, sample_offsets)
 # build_x0 and resolve_plan stay importable here: perfbench/traced.py wraps them
 from .config import (ConfigError, ExperimentConfig, build_noise, build_pattern,
                      build_population, build_run_config, build_schedule,
@@ -150,6 +150,7 @@ def cmd_sweep(args) -> int:
     noise = build_noise(cfg)
 
     rows = []
+    diverged = False
     for value in values:
         point = _sweep_point(cfg, axis, value)
         finals, failed = [], 0
@@ -163,6 +164,7 @@ def cmd_sweep(args) -> int:
                 continue
             if trace.diverged:
                 failed += 1
+                diverged = True
             else:
                 finals.append(trace.final_min_grad_norm_sq)
         stats = ([_q17(fn(finals)) for fn in (np.mean, np.std, np.median)]
@@ -183,8 +185,10 @@ def cmd_sweep(args) -> int:
         print(f"fitted log-log slope: {fit.slope:.4f}")
     _write_meta(out, cfg, master, extra)
     if not any(r[5] for r in rows):
+        # a numerical failure only if some run diverged; runs rejected as
+        # input (e.g. T = 0) make it a configuration error
         print("error: every sweep point failed", file=sys.stderr)
-        return 2
+        return 2 if diverged else 1
     print(f"wrote {len(rows)} aggregate rows to {out}/sweep.csv")
     return 0
 
@@ -193,6 +197,9 @@ def cmd_diagnose(args) -> int:
     cfg, master, out = _open(args)
     pop = build_population(cfg)
     T = cfg.get("run", "T")
+    P_list = cfg.get("diagnose", "P_list")
+    if not P_list:
+        raise ConfigError("diagnose P_list is empty")
     sched = build_schedule(cfg, pop.N, T, derive_seed(master, "rep0"))
     points = cfg.get("diagnose", "points")
     if points > 0:
@@ -200,13 +207,14 @@ def cmd_diagnose(args) -> int:
         pts = ball_samples(np.zeros(pop.m) if center is None else center,
                            cfg.get("run", "x0_scale"), points,
                            derive_seed(master, "points"))
+        offsets = sample_offsets(pop, pts)    # the offsets do not depend on P
 
     rows = []
-    for P in cfg.get("diagnose", "P_list"):
+    for P in P_list:
         if P < 1 or P > T:
             raise ConfigError(f"diagnose P={P} outside [1, T={T}]")
         if points > 0:
-            rep = divergence_sampled(pop, sched, P, pts)
+            rep = divergence_at_offsets(offsets, sched, P)
         else:
             try:
                 rep = divergence_exact(pop, sched, P)

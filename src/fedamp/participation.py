@@ -123,15 +123,58 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
     return sched
 
 
-def _markov_availability(rng, T, N, p_aa, p_uu):
-    pi_avail = (1.0 - p_uu) / (2.0 - p_aa - p_uu)
+# rows per block of the Markov generator: about 2**17 draws, so its
+# temporaries stay small whatever N is
+_MARKOV_BLOCK_DRAWS = 1 << 17
+
+
+def _markov_fill(rng, spec: PatternSpec, weights: np.ndarray) -> int:
+    """Fill `weights` with a Markov on/off schedule; return its fallback rounds.
+
+    A client steps its availability with one uniform u per round.  With
+    a = u < p_aa and b = u >= p_uu, the round sets the state to a when
+    a == b, keeps it when a and not b, and flips it when b and not a.  The
+    state is therefore the value at the last setting round, or the state
+    carried into the block, XOR the parity of the flips since; block-wise
+    accumulations give it without a loop over rounds.  Each double takes one
+    64-bit output, so the block draws equal one draw per stage: the initial
+    states, all transitions, then all selection scores.
+    """
+    T, N = weights.shape
+    rows = max(1, _MARKOV_BLOCK_DRAWS // N)
     avail = np.empty((T, N), dtype=bool)
-    avail[0] = rng.random(N) < pi_avail
-    u = rng.random((T - 1, N)) if T > 1 else np.empty((0, N))
-    for t in range(1, T):
-        prev = avail[t - 1]
-        avail[t] = np.where(prev, u[t - 1] < p_aa, u[t - 1] >= p_uu)
-    return avail
+    avail[0] = rng.random(N) < (1.0 - spec.p_uu) / (2.0 - spec.p_aa - spec.p_uu)
+    for lo in range(1, T, rows):
+        u = rng.random((min(rows, T - lo), N))
+        a, b = u < spec.p_aa, u >= spec.p_uu
+        parity = np.logical_xor.accumulate(b & ~a, axis=0)
+        # base[j]: the state at setting row j - 1 with the parity up to it
+        # taken out; base[0]: the state carried in
+        base = np.empty((len(u) + 1, N), dtype=bool)
+        base[0] = avail[lo - 1]
+        np.logical_xor(a, parity, out=base[1:])
+        last = (a == b) * np.arange(1, len(u) + 1)[:, None]
+        np.maximum.accumulate(last, axis=0, out=last)
+        np.logical_xor(np.take_along_axis(base, last, axis=0), parity,
+                       out=avail[lo:lo + len(u)])
+
+    # the first k = min(S, available) available clients by score; with no
+    # client available, the first min(S, N) of all clients (fallback)
+    fallback = 0
+    for lo in range(0, T, rows):
+        scores = rng.random((min(rows, T - lo), N))
+        av = avail[lo:lo + len(scores)]
+        count = av.sum(axis=1)
+        empty = count == 0
+        scores = np.where(av | empty[:, None], scores, np.inf)
+        k = np.minimum(spec.S, np.where(empty, N, count))
+        # a stable sort breaks ties by client index; k <= S, so the first S
+        # of each order hold every chosen client
+        first = np.argsort(scores, axis=1, kind="stable")[:, :spec.S]
+        q = np.where(np.arange(spec.S) < k[:, None], 1.0 / k[:, None], 0.0)
+        np.put_along_axis(weights[lo:lo + len(scores)], first, q, axis=1)
+        fallback += int(empty.sum())
+    return fallback
 
 
 def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSchedule:
@@ -179,17 +222,7 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
             weights[t, chosen] = 1.0 / spec.S
 
     else:  # markov
-        avail = _markov_availability(rng, T, N, spec.p_aa, spec.p_uu)
-        scores = rng.random((T, N))
-        for t in range(T):
-            idx = np.nonzero(avail[t])[0]
-            if idx.size == 0:
-                # no client available: fall back to uniform over all clients
-                fallback += 1
-                idx = np.arange(N)
-            k = min(spec.S, idx.size)
-            chosen = idx[np.argsort(scores[t, idx], kind="stable")[:k]]
-            weights[t, chosen] = 1.0 / k
+        fallback = _markov_fill(rng, spec, weights)
 
     return WeightSchedule(weights=weights, pattern=spec.describe(), seed=int(seed),
                           fallback_rounds=fallback)
@@ -249,11 +282,13 @@ def window_averages(schedule: WeightSchedule, P: int, max_lag: int = 0) -> Windo
     var_qbar = float(dev2.mean())
     lags = np.empty(max_lag + 1)
     centered = schedule.weights - mu
+    prod = np.empty_like(centered)      # lag products, reused at every lag
     for p in range(max_lag + 1):
         if p >= T:
             lags[p] = np.nan
             continue
-        lags[p] = float(np.mean(centered[:T - p] * centered[p:] if p else centered**2))
+        lags[p] = float(np.mean(np.multiply(centered[:T - p], centered[p:],
+                                            out=prod[:T - p])))
     return WindowStats(P=P, qbar=qbar, mu=mu, deviations_sq=dev2,
                        var_qbar=var_qbar, lag_cov=lags,
                        dropped_rounds=T - n_windows * P)

@@ -10,6 +10,7 @@ import pytest
 import fedamp as fa
 from fedamp import cli
 from fedamp.cli import main, paperdemo_arms
+from fedamp.config import build_population, build_schedule
 from fedamp.svg import line_chart
 
 BASE_CFG = """\
@@ -239,6 +240,20 @@ class TestCliSweep:
                      "--set", "run.gamma=10"])
         assert code == 2
 
+    def test_all_points_invalid_exit_1(self, cfg_file, tmp_path, capsys):
+        # T = 0 is rejected as input at every replication: no numerical failure
+        code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "need T >= 1" in err and "every sweep point failed" in err
+
+    def test_invalid_and_diverged_points_exit_2(self, cfg_file, tmp_path):
+        code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=0 64",
+                     "--set", "run.gamma=10"])
+        assert code == 2
+
     def test_two_point_T_sweep_skips_slope_fit(self, cfg_file, tmp_path):
         # a log-log fit needs three points; two still make a sweep
         out = tmp_path / "s"
@@ -277,12 +292,18 @@ class TestCliDiagnose:
 
     def test_sampled_mode_draws_distinct_points_once(self, cfg_file, tmp_path,
                                                      monkeypatch):
-        seen, real = [], cli.divergence_sampled
+        seen, used = [], []
+        real_sample, real_report = cli.sample_offsets, cli.divergence_at_offsets
 
-        def spy(pop, sched, P, points):
+        def sample_spy(pop, points):
             seen.append(points)
-            return real(pop, sched, P, points)
-        monkeypatch.setattr(cli, "divergence_sampled", spy)
+            return real_sample(pop, points)
+
+        def report_spy(offsets, sched, P):
+            used.append(offsets)
+            return real_report(offsets, sched, P)
+        monkeypatch.setattr(cli, "sample_offsets", sample_spy)
+        monkeypatch.setattr(cli, "divergence_at_offsets", report_spy)
         tables = []
         for k in (1, 4):
             out = tmp_path / f"d{k}"
@@ -290,10 +311,42 @@ class TestCliDiagnose:
                          "--set", "population.kind=logistic",
                          "--set", f"diagnose.points={k}"]) == 0
             tables.append((out / "divergence.csv").read_text())
-        points = seen[-1]
-        assert len(np.unique(points, axis=0)) == 4
-        assert all(p is points for p in seen[-4:])   # one draw for every P
+        assert len(seen) == 2                        # one draw per command
+        assert len(np.unique(seen[-1], axis=0)) == 4
+        assert len(used) == 8
+        assert all(o is used[-1] for o in used[-4:])   # the same points for every P
         assert tables[0] != tables[1]
+
+    def test_sampled_mode_takes_gradients_once_per_point(self, cfg_file, tmp_path,
+                                                         monkeypatch):
+        calls = []
+        real = fa.LogisticPopulation.grad
+        monkeypatch.setattr(fa.LogisticPopulation, "grad",
+                            lambda pop, n, x: calls.append(n) or real(pop, n, x))
+        out = tmp_path / "d"
+        assert main(["diagnose", "--config", cfg_file, "--out", str(out),
+                     "--set", "population.kind=logistic", "--set", "diagnose.points=3",
+                     "--set", "diagnose.P_list=1 2 4 8"]) == 0
+        assert len(calls) == 8 * 3                   # N per point, not per P as well
+        # the shared gradients give the rows of one sampled call per P
+        cfg = fa.load_config(cfg_file, ["population.kind=logistic"])
+        pop = build_population(cfg)
+        sched = build_schedule(cfg, pop.N, 64, fa.derive_seed(3, "rep0"))
+        pts = fa.ball_samples(np.zeros(pop.m), 2.0, 3, fa.derive_seed(3, "points"))
+        with open(out / "divergence.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, P in zip(rows, (1, 2, 4, 8)):
+            rep = fa.divergence_sampled(pop, sched, P, pts)
+            assert [row[k] for k in ("beta2", "nu2", "delta2", "d2")] == \
+                [f"{v:.17g}" for v in (rep.beta2, rep.nu2, rep.delta2, rep.d2)]
+
+    def test_empty_P_list_exit_1(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = main(["diagnose", "--config", cfg_file, "--out", str(out),
+                     "--set", "diagnose.P_list="])
+        assert code == 1
+        assert "error: diagnose P_list is empty" in capsys.readouterr().err
+        assert not (out / "divergence.csv").exists()
 
 
 class TestCliBounds:

@@ -1,11 +1,15 @@
 """The paper's identities as properties over random inputs."""
 
+from unittest import mock
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fedamp as fa
+from fedamp import participation
 from fedamp.analysis import _round_quantities
 from fedamp.config import SCHEMA, _bool, _count, _gap, _int_list, _offset
 from fedamp.engine import RunState
@@ -118,3 +122,125 @@ def test_interval_invariance_at_eta_one(case):
             for P in Ps)
     assert a.x_final.tobytes() == b.x_final.tobytes()
     assert a.f.tobytes() == b.f.tobytes()
+
+
+def markov_reference(rng, N, T, S, p_aa, p_uu):
+    """The Markov generator as one loop over rounds: (weights, fallback rounds)."""
+    avail = np.empty((T, N), dtype=bool)
+    avail[0] = rng.random(N) < (1.0 - p_uu) / (2.0 - p_aa - p_uu)
+    u = rng.random((T - 1, N)) if T > 1 else np.empty((0, N))
+    for t in range(1, T):
+        avail[t] = np.where(avail[t - 1], u[t - 1] < p_aa, u[t - 1] >= p_uu)
+    scores = rng.random((T, N))
+    weights = np.zeros((T, N))
+    fallback = 0
+    for t in range(T):
+        idx = np.nonzero(avail[t])[0]
+        if idx.size == 0:
+            fallback += 1
+            idx = np.arange(N)
+        k = min(S, idx.size)
+        chosen = idx[np.argsort(scores[t, idx], kind="stable")[:k]]
+        weights[t, chosen] = 1.0 / k
+    return weights, fallback
+
+
+class CoarseDraws:
+    """A generator whose uniforms take only `levels` values, so scores tie
+    and transitions land on p_aa and p_uu exactly."""
+
+    def __init__(self, rng, levels):
+        self.rng, self.levels = rng, levels
+
+    def random(self, size):
+        return np.floor(self.rng.random(size) * self.levels) / self.levels
+
+
+@st.composite
+def markov_cases(draw):
+    """Markov parameters, a draw coarseness and a block size: fallback rounds,
+    S above the available count and T across blocks all occur."""
+    N = draw(st.integers(1, 40))
+    levels = draw(st.one_of(st.none(), st.integers(2, 8)))
+    grid = st.integers(1, (levels or 16) - 1).map(lambda i: i / (levels or 16))
+    prob = st.one_of(grid, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return dict(N=N, T=draw(st.integers(1, 60)), S=draw(st.integers(1, N)),
+                p_aa=draw(prob), p_uu=draw(prob), seed=draw(st.integers(0, 2**32)),
+                levels=levels, block_draws=draw(st.integers(1, 4 * N)))
+
+
+def generate_markov(c):
+    """generate_schedule and the reference on the same draws."""
+    spec = fa.PatternSpec("markov", S=c["S"], p_aa=c["p_aa"], p_uu=c["p_uu"])
+
+    def draws(seed, label):
+        rng = fa.substream(seed, label)
+        return CoarseDraws(rng, c["levels"]) if c["levels"] else rng
+    with mock.patch.object(participation, "substream", draws), \
+            mock.patch.object(participation, "_MARKOV_BLOCK_DRAWS", c["block_draws"]):
+        sched = fa.generate_schedule(spec, c["N"], c["T"], c["seed"])
+    ref = markov_reference(draws(c["seed"], "schedule"), c["N"], c["T"], c["S"],
+                           c["p_aa"], c["p_uu"])
+    return sched, ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(markov_cases())
+def test_markov_matches_round_loop(case):
+    sched, (weights, fallback) = generate_markov(case)
+    assert sched.weights.tobytes() == weights.tobytes()
+    assert sched.fallback_rounds == fallback
+    counts = (weights > 0).sum(axis=1)
+    event(f"fallback rounds: {fallback > 0}")
+    event(f"S > available in some round: {bool((counts < case['S']).any())}")
+    event(f"crosses a block: {case['T'] > max(1, case['block_draws'] // case['N'])}")
+
+
+def test_markov_matches_round_loop_at_block_size():
+    # the generator's own block size, with T across two block boundaries
+    case = dict(N=32, S=8, p_aa=0.9, p_uu=0.8, seed=11, levels=None,
+                block_draws=participation._MARKOV_BLOCK_DRAWS)
+    case["T"] = 2 * (case["block_draws"] // 32) + 5
+    sched, (weights, fallback) = generate_markov(case)
+    assert sched.weights.tobytes() == weights.tobytes()
+    assert sched.fallback_rounds == fallback
+
+
+@st.composite
+def patterns(draw):
+    """A pattern of each of the five kinds with valid random parameters."""
+    kind = draw(st.sampled_from(["full", "independent", "permutation", "periodic",
+                                 "markov"]))
+    N = draw(st.integers(1, 24))
+    if kind == "full":
+        spec = fa.PatternSpec("full")
+    elif kind == "independent":
+        spec = fa.PatternSpec(kind, S=draw(st.integers(1, N)))
+    elif kind == "permutation":
+        spec = fa.PatternSpec(kind, S=draw(st.sampled_from(
+            [d for d in range(1, N + 1) if N % d == 0])))
+    elif kind == "periodic":
+        G = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+        B = draw(st.integers(1, 6))
+        spec = fa.PatternSpec(kind, S=draw(st.integers(1, N // G)), G=G, B=B,
+                              offset=draw(st.one_of(st.just("random"),
+                                                    st.integers(0, G * B - 1))))
+    else:
+        prob = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        spec = fa.PatternSpec(kind, S=draw(st.integers(1, N)), p_aa=draw(prob),
+                              p_uu=draw(prob))
+    return spec, N, draw(st.integers(1, 60)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_schedule_rows_equal_weights_on_simplex(case):
+    spec, N, T, seed = case
+    sched = fa.generate_schedule(spec, N, T, seed)
+    assert fa.verify_simplex(sched, strict=True).ok
+    k = (sched.weights > 0).sum(axis=1)
+    for row, k_t in zip(sched.weights, k):
+        assert (row[row > 0] == 1.0 / k_t).all()
+    inv_k = float(np.max(1.0 / k))
+    assert 1.0 / N <= inv_k <= 1.0
+    assert fa.rho_bound(sched) ** 2 == pytest.approx(inv_k, rel=1e-12)
