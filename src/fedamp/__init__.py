@@ -7,13 +7,12 @@ from .participation import (PatternSpec, SimplexReport, WeightSchedule,
                             rho_bound, verify_simplex, window_averages)
 from .engine import (RunConfig, RunState, Trace, amplify, checkpoint_eval,
                      run, run_wait_baseline)
-from .analysis import (BoundCheck, DecompositionReport, DivergenceReport,
-                       LRPlan, MixingReport, SlopeFit, ball_samples,
-                       chebyshev_mixing_check, choose_amplification_interval,
-                       decomposition_check, divergence_exact,
-                       divergence_sampled, fit_convergence_slope,
+from .analysis import (BoundCheck, DivergenceReport, LRPlan, MixingReport,
+                       SlopeFit, ball_samples, chebyshev_mixing_check,
+                       choose_amplification_interval, divergence_at_offsets,
+                       divergence_exact, fit_convergence_slope,
                        hoeffding_check, hoeffding_threshold, plan_rates_adaptive,
-                       plan_rates_fixed_amp)
+                       plan_rates_fixed_amp, sample_offsets)
 from .config import (ConfigError, ExperimentConfig, load_config,
                      parse_config_text)
 from .svg import ChartError, line_chart

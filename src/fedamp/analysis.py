@@ -10,7 +10,7 @@ log-log slope fitting for convergence-rate verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,25 +26,44 @@ from .streams import derive_seed, substream
 
 @dataclass(frozen=True)
 class DivergenceReport:
-    d2: float
+    d2: float                    # max_n || grad F_n - grad f ||^2
     beta2: float                 # max_t || sum_n q_t^n (grad F_n - grad f) ||^2
     nu2: float                   # max_t sum_n q_t^n || grad F_n - weighted mean ||^2
     delta2: float                # max over aligned windows of the P-averaged bias
     P: int
-    decomposition_residual: float  # max_t |(beta2(t)+nu2(t)) - sum q ||offs||^2|
+    decomposition_residual: float  # max_t |lhs - (beta2(t)+nu2(t))| / max(|lhs|, 1e-30)
+                                   # with lhs = sum_n q_t^n ||offs_n||^2
     max_round_sum: float           # max_t (beta2(t) + nu2(t))
     exact: bool
-    n_windows: int = 0
 
     def validate(self):
-        tol = 1e-10
-        assert self.beta2 >= 0 and self.nu2 >= 0 and self.delta2 >= 0
-        assert self.max_round_sum <= self.d2 + tol
-        assert self.delta2 <= self.beta2 + tol
+        """Raise ValueError unless the constants are finite, nonnegative and
+        consistent: beta2(t) + nu2(t) = sum_n q_t^n ||offs_n||^2 <= d2 and
+        delta2 <= beta2.  The bounds are compared to 1e-10, relative once
+        d2 > 1, where round-off alone exceeds 1e-10."""
+        for name in ("d2", "beta2", "nu2", "delta2", "decomposition_residual",
+                     "max_round_sum"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} = {v} is not finite and nonnegative")
+        tol = 1e-10 * max(1.0, self.d2)
+        if self.decomposition_residual > 1e-10:
+            raise ValueError(f"beta2 + nu2 misses sum q ||offsets||^2 by "
+                             f"{self.decomposition_residual:.3g} (relative)")
+        if self.max_round_sum > self.d2 + tol:
+            raise ValueError(f"max_t (beta2 + nu2) = {self.max_round_sum!r} "
+                             f"exceeds d2 = {self.d2!r}")
+        if self.delta2 > self.beta2 + tol:
+            raise ValueError(f"delta2 = {self.delta2!r} exceeds "
+                             f"beta2 = {self.beta2!r}")
 
 
-def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int,
-                      chunk: int = 1024):
+# schedule rows per block of `_round_quantities`, which bounds its
+# (block, N, m) temporary
+_ROUND_BLOCK = 1024
+
+
+def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int):
     """The participation terms of per-client offsets (N, m) under a schedule.
 
     Returns per-round beta2(t) and nu2(t), per-round sum_n q_t^n ||offs_n||^2,
@@ -54,12 +73,12 @@ def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int,
     T = weights.shape[0]
     beta_t = np.empty(T)
     nu_t = np.empty(T)
-    for lo in range(0, T, chunk):
-        w = weights[lo:lo + chunk]
-        b = w @ offsets                       # (chunk, m) weighted offsets
-        beta_t[lo:lo + chunk] = np.sum(b**2, axis=1)
+    for lo in range(0, T, _ROUND_BLOCK):
+        w = weights[lo:lo + _ROUND_BLOCK]
+        b = w @ offsets                       # (block, m) weighted offsets
+        beta_t[lo:lo + _ROUND_BLOCK] = np.sum(b**2, axis=1)
         diff = offsets[None, :, :] - b[:, None, :]
-        nu_t[lo:lo + chunk] = np.einsum("tn,tnm->t", w, diff**2)
+        nu_t[lo:lo + _ROUND_BLOCK] = np.einsum("tn,tnm->t", w, diff**2)
     weighted_d2 = weights @ np.sum(offsets**2, axis=1)
     n_windows = T // P
     delta2 = 0.0
@@ -70,96 +89,48 @@ def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int,
     return beta_t, nu_t, weighted_d2, delta2
 
 
-def _offsets_at(pop, x: np.ndarray) -> np.ndarray:
-    """Client gradient offsets grad F_n(x) - grad f(x), shape (N, m)."""
-    grads = np.stack([pop.grad(n, x) for n in range(pop.N)])
-    return grads - grads.mean(axis=0, keepdims=True)
-
-
 def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
                      P: int) -> DivergenceReport:
     """Exact constants, valid because shared-curvature quadratics have
     gradient differences that do not depend on the evaluation point."""
     if not isinstance(pop, QuadraticPopulation):
         raise TypeError("exact mode needs a shared-curvature QuadraticPopulation; "
-                        "use divergence_sampled for other populations")
-    beta_t, nu_t, weighted_d2, delta2 = _round_quantities(
-        pop.gradient_offsets(), schedule.weights, P)
-    return DivergenceReport(d2=pop.d2, beta2=float(beta_t.max()),
-                            nu2=float(nu_t.max()), delta2=delta2, P=P,
-                            decomposition_residual=float(
-                                np.max(np.abs(beta_t + nu_t - weighted_d2))),
-                            max_round_sum=float((beta_t + nu_t).max()),
-                            exact=True, n_windows=schedule.T // P)
+                        "use sample_offsets and divergence_at_offsets for "
+                        "other populations")
+    return replace(divergence_at_offsets(pop.gradient_offsets()[None], schedule, P),
+                   exact=True)
 
 
 def sample_offsets(pop, points: np.ndarray) -> np.ndarray:
-    """Client offsets at each sample point, shape (k, N, m): N gradients a point."""
+    """Client offsets grad F_n(x) - grad f(x) at each sample point x, shape
+    (k, N, m): N gradients a point."""
     points = np.atleast_2d(points)
     if points.size == 0:
         raise ValueError("empty sample set")
-    return np.stack([_offsets_at(pop, x) for x in points])
-
-
-def divergence_sampled(pop, schedule: WeightSchedule, P: int,
-                       points: np.ndarray) -> DivergenceReport:
-    """Sampled mode: maxima over the supplied evaluation points.
-
-    The reported values are lower bounds of the true suprema over x.
-    """
-    return divergence_at_offsets(sample_offsets(pop, points), schedule, P)
+    grads = np.stack([[pop.grad(n, x) for n in range(pop.N)] for x in points])
+    return grads - grads.mean(axis=1, keepdims=True)
 
 
 def divergence_at_offsets(offsets: np.ndarray, schedule: WeightSchedule,
                           P: int) -> DivergenceReport:
-    """`divergence_sampled` from the offsets of its points (`sample_offsets`),
-    so that several P share one set of gradients."""
-    d2 = beta2 = nu2 = delta2 = max_sum = residual = 0.0
-    for offs in offsets:
-        beta_t, nu_t, weighted_d2, delta = _round_quantities(
-            offs, schedule.weights, P)
-        d2 = max(d2, float(np.max(np.sum(offs**2, axis=1))))
-        beta2 = max(beta2, float(beta_t.max()))
-        nu2 = max(nu2, float(nu_t.max()))
-        delta2 = max(delta2, delta)
-        max_sum = max(max_sum, float((beta_t + nu_t).max()))
-        residual = max(residual, float(np.max(np.abs(beta_t + nu_t - weighted_d2))))
+    """The constants as maxima over k points from their offsets (k, N, m),
+    e.g. `sample_offsets`, so that several P share one set of gradients.
+
+    Sampled values are lower bounds of the true suprema over x.  Overflow
+    and NaN propagate to the maxima, where `validate` rejects them.
+    """
+    per_point = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offs in offsets:
+            beta_t, nu_t, lhs, delta2 = _round_quantities(offs, schedule.weights, P)
+            rhs = beta_t + nu_t
+            residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30)
+            per_point.append([np.max(np.sum(offs**2, axis=1)), beta_t.max(),
+                              nu_t.max(), delta2, rhs.max(), residual.max()])
+    d2, beta2, nu2, delta2, max_sum, residual = map(float, np.max(per_point, axis=0))
     return DivergenceReport(d2=d2, beta2=beta2, nu2=nu2, delta2=delta2, P=P,
                             decomposition_residual=residual,
-                            max_round_sum=max_sum, exact=False,
-                            n_windows=schedule.T // P)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    max_relative_residual: float
-    beta2: float
-    nu2: float
-    max_round_sum: float
-    d2: float
-    ok: bool
-
-
-def decomposition_check(pop, schedule: WeightSchedule,
-                        points: np.ndarray) -> DecompositionReport:
-    """Verify, per (round, point), that the participation-weighted divergence
-    splits exactly into within-round spread plus weighted-bias terms."""
-    points = np.atleast_2d(points)
-    worst = beta2 = nu2 = max_sum = d2 = 0.0
-    for x in points:
-        offs = _offsets_at(pop, x)
-        beta_t, nu_t, lhs, _ = _round_quantities(offs, schedule.weights,
-                                                 schedule.T)
-        rhs = beta_t + nu_t
-        scale = np.maximum(np.abs(lhs), 1e-30)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / scale)))
-        d2 = max(d2, float(np.max(np.sum(offs**2, axis=1))))
-        beta2 = max(beta2, float(beta_t.max()))
-        nu2 = max(nu2, float(nu_t.max()))
-        max_sum = max(max_sum, float(rhs.max()))
-    return DecompositionReport(max_relative_residual=worst, beta2=beta2, nu2=nu2,
-                               max_round_sum=max_sum, d2=d2,
-                               ok=worst <= 1e-10 and max_sum <= d2 + 1e-10)
+                            max_round_sum=max_sum, exact=False)
 
 
 # ---------------------------------------------------------------------------

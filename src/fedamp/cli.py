@@ -220,7 +220,11 @@ def cmd_diagnose(args) -> int:
                 rep = divergence_exact(pop, sched, P)
             except TypeError as exc:
                 raise ConfigError(str(exc)) from exc
-        rep.validate()
+        try:
+            rep.validate()
+        except ValueError as exc:    # non-finite or inconsistent constants
+            print(f"error: P={P}: {exc}", file=sys.stderr)
+            return 2
         rows.append([P, _q17(rep.beta2), _q17(rep.nu2), _q17(rep.delta2),
                      _q17(rep.d2), int(rep.exact)])
 

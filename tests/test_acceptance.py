@@ -127,8 +127,9 @@ def test_a3_divergence_decomposition():
             S = [d for d in range(1, N + 1) if N % d == 0][k % 2]
         sched = fa.generate_schedule(fa.PatternSpec(kind, S=S), N, 30, k)
         x = pop.x_star + rng.normal(scale=2.0, size=pop.m)
-        rep = fa.decomposition_check(pop, sched, x[None, :])
-        worst_res = max(worst_res, rep.max_relative_residual)
+        rep = fa.divergence_at_offsets(fa.sample_offsets(pop, x[None, :]), sched,
+                                       sched.T)
+        worst_res = max(worst_res, rep.decomposition_residual)
         # bias + spread is a per-round identity; the d2 bound applies to the
         # per-round sum (the separate maxima can land in different rounds)
         worst_excess = max(worst_excess, rep.max_round_sum - rep.d2)

@@ -1,5 +1,7 @@
 """Divergence constants, concentration checks, planners, slope fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,34 @@ class TestDivergence:
         sched = fa.generate_schedule(fa.PatternSpec("independent", S=2), 5, 60, 2)
         exact = fa.divergence_exact(pop, sched, P=5)
         pts = fa.ball_samples(pop.x_star, 2.0, 8, seed=3)
-        sampled = fa.divergence_sampled(pop, sched, 5, pts)
+        sampled = fa.divergence_at_offsets(fa.sample_offsets(pop, pts), sched, 5)
         assert sampled.beta2 == pytest.approx(exact.beta2, rel=1e-10)
         assert sampled.nu2 == pytest.approx(exact.nu2, rel=1e-10)
         assert sampled.delta2 == pytest.approx(exact.delta2, rel=1e-10)
         assert sampled.d2 == pytest.approx(exact.d2, rel=1e-10)
         assert not sampled.exact and exact.exact
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("nu2", -1e-3, "nu2 = -0.001 is not finite"),
+        ("d2", float("inf"), "d2 = inf is not finite"),
+        ("decomposition_residual", 1e-9, "misses"),
+        ("max_round_sum", 2.0 + 1e-9, "exceeds d2"),
+        ("delta2", 1.0 + 1e-9, "delta2 = .* exceeds beta2")])
+    def test_validate_raises(self, field, value, message):
+        rep = fa.DivergenceReport(d2=2.0, beta2=1.0, nu2=0.5, delta2=1.0, P=1,
+                                  decomposition_residual=0.0, max_round_sum=1.5,
+                                  exact=True)
+        rep.validate()
+        with pytest.raises(ValueError, match=message):
+            replace(rep, **{field: value}).validate()
+
+    def test_validate_tolerance_scales_with_d2(self):
+        # the 3-round mean of 114874.872 is one ulp longer, so delta2 tops
+        # beta2 by 3.8e-6: round-off at d2 ~ 1.3e10, not an inconsistency
+        sched = fa.WeightSchedule(weights=np.ones((3, 1)), pattern="manual", seed=0)
+        rep = fa.divergence_at_offsets(np.array([[[114874.872]]]), sched, 3)
+        assert rep.delta2 > rep.beta2 + 1e-10
+        rep.validate()
 
     def test_exact_mode_rejects_non_quadratic(self):
         pop = fa.build_logistic(N=3, m=4, samples_per_client=8, seed=34)
@@ -99,9 +123,10 @@ class TestDecomposition:
             sched = fa.generate_schedule(fa.PatternSpec("independent", S=3),
                                          7, 50, seed)
             pts = fa.ball_samples(pop.x_star, 3.0, 5, seed)
-            rep = fa.decomposition_check(pop, sched, pts)
-            assert rep.ok
-            assert rep.max_relative_residual <= 1e-10
+            rep = fa.divergence_at_offsets(fa.sample_offsets(pop, pts), sched,
+                                           sched.T)
+            rep.validate()
+            assert rep.decomposition_residual <= 1e-10
             assert rep.max_round_sum <= rep.d2 + 1e-10
 
     def test_degenerate_weights_by_hand(self):
@@ -110,7 +135,8 @@ class TestDecomposition:
         w = np.zeros((1, 2))
         w[0, 0] = 1.0
         sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
-        rep = fa.decomposition_check(pop, sched, pop.x_star[None, :])
+        rep = fa.divergence_at_offsets(
+            fa.sample_offsets(pop, pop.x_star[None, :]), sched, sched.T)
         off0 = float(np.sum(pop.gradient_offsets()[0] ** 2))
         assert rep.beta2 == pytest.approx(off0, rel=1e-12)
         assert rep.nu2 == pytest.approx(0.0, abs=1e-25)

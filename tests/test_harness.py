@@ -328,7 +328,7 @@ class TestCliDiagnose:
                      "--set", "population.kind=logistic", "--set", "diagnose.points=3",
                      "--set", "diagnose.P_list=1 2 4 8"]) == 0
         assert len(calls) == 8 * 3                   # N per point, not per P as well
-        # the shared gradients give the rows of one sampled call per P
+        # the shared gradients give the rows of one call per P on fresh offsets
         cfg = fa.load_config(cfg_file, ["population.kind=logistic"])
         pop = build_population(cfg)
         sched = build_schedule(cfg, pop.N, 64, fa.derive_seed(3, "rep0"))
@@ -336,9 +336,19 @@ class TestCliDiagnose:
         with open(out / "divergence.csv") as fh:
             rows = list(csv.DictReader(fh))
         for row, P in zip(rows, (1, 2, 4, 8)):
-            rep = fa.divergence_sampled(pop, sched, P, pts)
+            rep = fa.divergence_at_offsets(fa.sample_offsets(pop, pts), sched, P)
             assert [row[k] for k in ("beta2", "nu2", "delta2", "d2")] == \
                 [f"{v:.17g}" for v in (rep.beta2, rep.nu2, rep.delta2, rep.d2)]
+
+    def test_non_finite_constants_exit_2(self, cfg_file, tmp_path, capsys):
+        # client gradients at |x| ~ 1e300 overflow when squared
+        out = tmp_path / "d"
+        code = main(["diagnose", "--config", cfg_file, "--out", str(out),
+                     "--set", "diagnose.points=2", "--set", "run.x0_scale=1e300"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: P=1: ") and "Traceback" not in err
+        assert not (out / "divergence.csv").exists()
 
     def test_empty_P_list_exit_1(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "d"

@@ -1,5 +1,9 @@
 """The paper's identities as properties over random inputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -44,6 +48,63 @@ def test_window_bias_below_round_bias(case):
     offsets, w, P = case
     beta_t, _, _, delta2 = _round_quantities(offsets, w, P)
     assert delta2 <= beta_t.max() * (1 + 1e-12)
+
+
+@st.composite
+def offset_stacks(draw):
+    """Offsets of k <= 4 points (k, N, m), their schedule, and P <= T."""
+    offsets, w, P = draw(offsets_and_weights())
+    more = [draw(hnp.arrays(np.float64, offsets.shape, elements=VALUES))
+            for _ in range(draw(st.integers(0, 3)))]
+    sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+    return np.stack([offsets, *more]), sched, P
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset_stacks())
+def test_stack_report_is_max_of_point_reports(case):
+    offsets, sched, P = case
+    rep = fa.divergence_at_offsets(offsets, sched, P)
+    points = [fa.divergence_at_offsets(offs[None], sched, P) for offs in offsets]
+    for name in ("d2", "beta2", "nu2", "delta2", "decomposition_residual",
+                 "max_round_sum"):
+        assert getattr(rep, name) == max(getattr(p, name) for p in points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset_stacks(), st.data())
+def test_non_finite_offset_fails_validate(case, data):
+    offsets, sched, P = case
+    fa.divergence_at_offsets(offsets, sched, P).validate()
+    bad = offsets.copy()
+    bad[tuple(data.draw(st.integers(0, s - 1)) for s in bad.shape)] = \
+        data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError):
+        fa.divergence_at_offsets(bad, sched, P).validate()
+
+
+def test_validate_raises_under_python_O():
+    # `python -O` strips asserts; validate must not rely on them
+    code = """if 1:
+        import sys
+        import fedamp as fa
+        rep = fa.DivergenceReport(d2=2.0, beta2=1.0, nu2=0.5, delta2=1.5, P=1,
+                                  decomposition_residual=0.0, max_round_sum=1.5,
+                                  exact=True)
+        if not sys.flags.optimize:
+            sys.exit(4)
+        try:
+            rep.validate()
+        except ValueError:
+            sys.exit(0)
+        sys.exit(3)
+    """
+    src = str(Path(fa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @st.composite
