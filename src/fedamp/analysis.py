@@ -196,7 +196,7 @@ def hoeffding_check(spec: PatternSpec, N: int, P: int, c: float, trials: int,
 class MixingReport:
     P_list: list
     var_qbar: list               # empirical Var(qbar) per P
-    slope: float                 # fitted d log Var / d log P
+    slope: float                 # fitted d log Var / d log P; nan with one P
     upsilon_hat2: float          # Var(q) + 2 sum_p Cov(q_t, q_{t+p})
     cov_lags: np.ndarray         # autocovariance at lags 0..max_lag
     cov_ratio: float             # fitted per-lag geometric decay of Cov
@@ -220,6 +220,9 @@ def chebyshev_mixing_check(spec: PatternSpec, N: int, P_list, trials: int,
     _check_bound_inputs(P_list, trials, c, max_lag)
     P_list = sorted(int(p) for p in P_list)
     T = max(P_list) * trials
+    if max_lag >= T:
+        raise ValueError(f"max_lag must be < max(P_list) * trials = {T}, "
+                         f"got {max_lag}")
     sched = generate_schedule(spec, N, T, seed)
     base = window_averages(sched, P_list[0], max_lag=max_lag)
 
@@ -255,7 +258,9 @@ def chebyshev_mixing_check(spec: PatternSpec, N: int, P_list, trials: int,
         checks.append(BoundCheck(bound="chebyshev", P=P, c=c, threshold=thr,
                                  trials=stats.deviations_sq.shape[0],
                                  violation_rate=rate, passed=rate <= c + slack))
-    slope = float(np.polyfit(np.log(P_list), np.log(variances), 1)[0])
+    # a line through fewer than two distinct P has no slope
+    slope = (float(np.polyfit(np.log(P_list), np.log(variances), 1)[0])
+             if len(set(P_list)) >= 2 else float("nan"))
     return MixingReport(P_list=P_list, var_qbar=variances, slope=slope,
                         upsilon_hat2=upsilon_hat2, cov_lags=base.lag_cov,
                         cov_ratio=cov_ratio, truncation_lag=cut,

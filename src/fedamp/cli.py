@@ -258,9 +258,11 @@ def cmd_bounds(args) -> int:
                                          c=cfg.get("bounds", "chebyshev_c"),
                                          max_lag=cfg.get("bounds", "max_lag"))
             checks = rep.chebyshev
-            extra = [f"variance_slope = {_q17(rep.slope)}",
-                     f"cov_ratio = {_q17(rep.cov_ratio)}",
-                     f"long_run_variance = {_q17(rep.upsilon_hat2)}"]
+            # one distinct P has no slope; sweep omits slope_fit likewise
+            extra = ([] if np.isnan(rep.slope)
+                     else [f"variance_slope = {_q17(rep.slope)}"])
+            extra += [f"cov_ratio = {_q17(rep.cov_ratio)}",
+                      f"long_run_variance = {_q17(rep.upsilon_hat2)}"]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

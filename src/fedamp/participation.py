@@ -270,9 +270,85 @@ class WindowStats:
     dropped_rounds: int         # trailing partial window excluded
 
 
+# leaf and window sizes of the lag-covariance pass, in doubles: a node of
+# at most one leaf is summed in one call, and both ends of a lag product
+# come from one centered window of the weights.  A leaf must be at least
+# numpy's unsplit block of 128 items.
+_LAG_LEAF = 1 << 15
+_LAG_WINDOW = 1 << 18
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits a node of n items; 0 for a leaf."""
+    if n <= _LAG_LEAF:
+        return 0
+    return n // 2 - (n // 2) % 8
+
+
+def _pairwise_leaves(lo: int, n: int):
+    """Yield the (start, stop) leaves of the pairwise tree over lo..lo+n."""
+    n2 = _pairwise_split(n)
+    if not n2:
+        yield lo, lo + n
+        return
+    yield from _pairwise_leaves(lo, n2)
+    yield from _pairwise_leaves(lo + n2, n - n2)
+
+
+def _pairwise_total(n: int, sums) -> float:
+    """Add the leaf sums of `_pairwise_leaves(0, n)`, in order, up its tree."""
+    n2 = _pairwise_split(n)
+    if not n2:
+        return next(sums)
+    return _pairwise_total(n2, sums) + _pairwise_total(n - n2, sums)
+
+
+def _lag_means(flat: np.ndarray, mu: float, shifts) -> list:
+    """np.mean((flat[:n - s] - mu) * (flat[s:] - mu)) for each shift s < n,
+    bit for bit, in O(window) memory.
+
+    Each lag's sum is split down numpy's pairwise tree to leaves; a leaf is
+    summed by np.add.reduce on a contiguous buffer and the leaf sums are
+    added back up the same tree.  The leaves of all lags are visited in
+    order of position, so one centered window serves every lag and is
+    refilled only when a leaf and its shifted partner do not fit.
+    """
+    size = flat.size
+    nodes = sorted((a, b, k) for k, s in enumerate(shifts)
+                   for a, b in _pairwise_leaves(0, size - s))
+    win = np.empty(min(_LAG_WINDOW, size))
+    prod = np.empty(min(_LAG_LEAF, size))
+    start, stop = 0, 0                  # the part of flat centered in win
+    sums = [[] for _ in shifts]
+    for a, b, k in nodes:
+        s, m = shifts[k], b - a
+        if m + s > win.size:            # the pair is wider than a window
+            np.subtract(flat[a:b], mu, out=prod[:m])
+            prod[:m] *= flat[a + s:b + s] - mu
+        else:
+            if a < start or b + s > stop:
+                start, stop = a, min(a + win.size, size)
+                np.subtract(flat[start:stop], mu, out=win[:stop - start])
+            np.multiply(win[a - start:b - start], win[a + s - start:b + s - start],
+                        out=prod[:m])
+        sums[k].append(float(np.add.reduce(prod[:m])))
+    return [_pairwise_total(size - s, iter(leaf_sums)) / (size - s)
+            for s, leaf_sums in zip(shifts, sums)]
+
+
 def window_averages(schedule: WeightSchedule, P: int, max_lag: int = 0) -> WindowStats:
+    """Averages of the weights over aligned windows of P rounds, with the
+    pooled autocovariances of q_t^n at lags 0..max_lag.
+
+    lag_cov[p] is bit for bit np.mean of the (T - p) * N lag-p products
+    (q_t^n - 1/N) * (q_{t+p}^n - 1/N), summed in numpy's pairwise order;
+    lags p >= T have no products and are NaN.  The lags take memory of the
+    order of one window (`_LAG_WINDOW` doubles), not of T * N.
+    """
     if not 1 <= P <= schedule.T:
         raise ValueError(f"need 1 <= P <= T, got P={P}, T={schedule.T}")
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     T, N = schedule.T, schedule.N
     n_windows = T // P
     used = schedule.weights[:n_windows * P]
@@ -280,15 +356,10 @@ def window_averages(schedule: WeightSchedule, P: int, max_lag: int = 0) -> Windo
     mu = 1.0 / N
     dev2 = (qbar - mu) ** 2
     var_qbar = float(dev2.mean())
-    lags = np.empty(max_lag + 1)
-    centered = schedule.weights - mu
-    prod = np.empty_like(centered)      # lag products, reused at every lag
-    for p in range(max_lag + 1):
-        if p >= T:
-            lags[p] = np.nan
-            continue
-        lags[p] = float(np.mean(np.multiply(centered[:T - p], centered[p:],
-                                            out=prod[:T - p])))
+    lags = np.full(max_lag + 1, np.nan)
+    n_lags = min(max_lag, T - 1) + 1
+    lags[:n_lags] = _lag_means(np.ravel(schedule.weights), mu,
+                               [p * N for p in range(n_lags)])
     return WindowStats(P=P, qbar=qbar, mu=mu, deviations_sq=dev2,
                        var_qbar=var_qbar, lag_cov=lags,
                        dropped_rounds=T - n_windows * P)

@@ -1,5 +1,6 @@
 """Divergence constants, concentration checks, planners, slope fitting."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,26 @@ class TestConcentration:
         assert rep.cov_ratio == pytest.approx(0.7, abs=0.04)
         assert rep.converged
         assert rep.upsilon_hat2 > rep.cov_lags[0]  # positive correlations add up
+
+    @pytest.mark.parametrize("P_list,trials,max_lag", [
+        ([2, 4], 1, 40),    # lags 4..40 have no products
+        ([8], 5, 40),       # T = 40 rounds: lag 40 has none either
+    ])
+    def test_max_lag_beyond_schedule_rejected(self, P_list, trials, max_lag):
+        spec = fa.PatternSpec("markov", S=4, p_aa=0.99, p_uu=0.99)
+        with pytest.raises(ValueError, match="max_lag"):
+            fa.chebyshev_mixing_check(spec, N=16, P_list=P_list, trials=trials,
+                                      seed=1, max_lag=max_lag)
+
+    @pytest.mark.parametrize("P_list", [[16], [16, 16]])
+    def test_one_distinct_P_has_no_slope(self, P_list):
+        spec = fa.PatternSpec("markov", S=4, p_aa=0.9, p_uu=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RankWarning from a 1-point fit
+            rep = fa.chebyshev_mixing_check(spec, N=16, P_list=P_list,
+                                            trials=50, seed=4)
+        assert np.isnan(rep.slope)
+        assert len(rep.chebyshev) == len(P_list)
 
 
 class TestPlanners:

@@ -407,6 +407,28 @@ class TestCliBounds:
         assert reason in capsys.readouterr().err
 
 
+    def test_max_lag_beyond_schedule_exit_1(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["bounds", "--config", cfg_file, "--out", str(out),
+                     "--set", "pattern.kind=markov", "--set", "pattern.p_aa=0.99",
+                     "--set", "pattern.p_uu=0.99", "--set", "bounds.P_list=2 4",
+                     "--set", "bounds.mixing_trials=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_lag must") and "Traceback" not in err
+        assert not (out / "bounds.csv").exists()
+
+    def test_one_P_omits_variance_slope(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["bounds", "--config", cfg_file, "--out", str(out),
+                     "--set", "pattern.kind=markov", "--set", "pattern.p_aa=0.9",
+                     "--set", "pattern.p_uu=0.8", "--set", "bounds.P_list=16",
+                     "--set", "bounds.mixing_trials=50"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        meta = (out / "meta.txt").read_text()
+        assert "variance_slope" not in meta and "long_run_variance = " in meta
+
     @pytest.mark.parametrize("key,value,name", [
         ("bounds.trials", "0", "trials"),
         ("bounds.P", "0", "P"),

@@ -1,9 +1,12 @@
 """Participation schedules: simplex structure, pattern statistics, I/O."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fedamp as fa
+from fedamp import participation
 
 
 def make(kind, N, T, seed=0, **kw):
@@ -192,3 +195,32 @@ class TestWindowAverages:
         sched = make("full", N=4, T=10)
         with pytest.raises(ValueError):
             fa.window_averages(sched, P=11)
+
+    @pytest.mark.parametrize("max_lag", [-1, -3])
+    def test_negative_max_lag_rejected(self, max_lag):
+        sched = make("full", N=4, T=10)
+        with pytest.raises(ValueError, match="max_lag"):
+            fa.window_averages(sched, P=2, max_lag=max_lag)
+
+    def test_lag_cov_bitwise_across_leaves_and_windows(self):
+        # the pass's own leaf and window sizes, with every lag crossing
+        # several leaves and a window refill
+        N, max_lag = 32, 40
+        T = 2 * participation._LAG_WINDOW // N + 77
+        sched = make("markov", N=N, T=T, seed=8, S=8, p_aa=0.9, p_uu=0.8)
+        c = sched.weights - 1.0 / N
+        expect = [np.mean(c[:T - p] * c[p:]) for p in range(max_lag + 1)]
+        lags = fa.window_averages(sched, P=16, max_lag=max_lag).lag_cov
+        assert lags.tobytes() == np.array(expect).tobytes()
+
+    def test_lag_pass_allocates_no_schedule_sized_array(self):
+        # two float copies of the weights would trace at about 2x nbytes
+        sched = make("markov", N=32, T=204_800, seed=9, S=8, p_aa=0.9, p_uu=0.8)
+        assert sched.weights.nbytes >= 20e6
+        tracemalloc.start()
+        try:
+            fa.window_averages(sched, P=16, max_lag=40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sched.weights.nbytes / 4

@@ -305,3 +305,43 @@ def test_schedule_rows_equal_weights_on_simplex(case):
     inv_k = float(np.max(1.0 / k))
     assert 1.0 / N <= inv_k <= 1.0
     assert fa.rho_bound(sched) ** 2 == pytest.approx(inv_k, rel=1e-12)
+
+
+def small_lag_pass(data):
+    """Patch the lag pass's leaf and window sizes small, so short inputs
+    cross leaves, refill windows and hold pairs wider than a window."""
+    leaf = data.draw(st.sampled_from([128, 136, 1024]), label="leaf")
+    window = data.draw(st.sampled_from([128, 136, 300, 1024, 4096]), label="window")
+    return mock.patch.multiple(participation, _LAG_LEAF=leaf, _LAG_WINDOW=window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4 * 1024), st.integers(0, 2**32), st.data())
+def test_lag_means_match_numpy_mean(n, seed, data):
+    rng = np.random.default_rng(seed)
+    # mixed magnitudes, and signed zeros in about a fifth of the entries
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    zero = rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 1.0]), label="zeros")
+    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    mu = data.draw(st.sampled_from([0.0, -0.0, 1 / 3, 1e-20]), label="mu")
+    shifts = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                           max_size=8), label="shifts")))
+    with small_lag_pass(data):
+        got = participation._lag_means(x, mu, shifts)
+    expect = [np.mean((x[:n - s] - mu) * (x[s:] - mu)) for s in shifts]
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns(), st.data())
+def test_window_lag_cov_matches_centered_products(case, data):
+    spec, N, T, seed = case
+    sched = fa.generate_schedule(spec, N, T, seed)
+    P = data.draw(st.integers(1, T), label="P")
+    max_lag = data.draw(st.integers(0, T + 3), label="max_lag")
+    with small_lag_pass(data):
+        lags = fa.window_averages(sched, P, max_lag=max_lag).lag_cov
+    c = sched.weights - 1.0 / N
+    expect = [np.mean(c[:T - p] * c[p:]) if p < T else np.nan
+              for p in range(max_lag + 1)]
+    assert lags.tobytes() == np.array(expect).tobytes()
