@@ -44,8 +44,15 @@ def _q17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _out_path(out, name) -> str:
+    """Path of output file `name`; the directory is made with the first file,
+    so a command that fails on its inputs leaves no empty directory."""
+    os.makedirs(out, exist_ok=True)
+    return os.path.join(out, name)
+
+
 def _write_meta(out_dir, cfg: ExperimentConfig | None, master: int, extra=()):
-    with open(os.path.join(out_dir, "meta.txt"), "w") as fh:
+    with open(_out_path(out_dir, "meta.txt"), "w") as fh:
         fh.write(f"fedamp {__version__}\n")
         fh.write(f"master_seed = {master}\n")
         fh.write(SEED_RULE + "\n")
@@ -57,7 +64,7 @@ def _write_meta(out_dir, cfg: ExperimentConfig | None, master: int, extra=()):
 
 
 def _write_csv(out, name, header, rows):
-    with open(os.path.join(out, name), "w", newline="") as fh:
+    with open(_out_path(out, name), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -71,7 +78,6 @@ def _open(args):
     master = args.seed if args.seed is not None else (
         cfg.get("seeds", "master") if cfg is not None else 0)
     out = args.out or (cfg.get("output", "dir") if cfg is not None else "out")
-    os.makedirs(out, exist_ok=True)
     return cfg, master, out
 
 
@@ -319,7 +325,7 @@ def cmd_plot(args) -> int:
             series.append((label, ts, g2s))
     svg = line_chart(series, title="gradient norm squared over rounds",
                      x_label="round", y_label="||grad f||^2")
-    target = os.path.join(out, "metrics.svg")
+    target = _out_path(out, "metrics.svg")
     with open(target, "w") as fh:
         fh.write(svg)
     print(f"wrote {target} with {len(series)} series")
@@ -387,7 +393,7 @@ def cmd_paperdemo(args) -> int:
 
     _write_csv(out, "paperdemo.csv", ["arm", "seed_index", "final_min_grad_norm_sq"],
                rows)
-    with open(os.path.join(out, "paperdemo.svg"), "w") as fh:
+    with open(_out_path(out, "paperdemo.svg"), "w") as fh:
         fh.write(line_chart(svg_series,
                             title="periodic availability: amplification vs waiting",
                             x_label="round", y_label="||grad f||^2"))

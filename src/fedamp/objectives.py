@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,13 @@ class LogisticPopulation:
     labels: np.ndarray     # (N, k) in {-1, +1}
     lam: float
 
+    def __post_init__(self):
+        # scipy is imported when a logistic population is built, not with the
+        # package: it is the only user, and the import costs ~0.2 s of every
+        # process start
+        from scipy.special import expit
+        object.__setattr__(self, "_expit", expit)
+
     @property
     def N(self) -> int:
         return self.features.shape[0]
@@ -242,7 +248,7 @@ class LogisticPopulation:
     def grad(self, n: int, x: np.ndarray) -> np.ndarray:
         self._check_index(n)
         X, y = self.features[n], self.labels[n]
-        coeff = -y * expit(-y * (X @ x))
+        coeff = -y * self._expit(-y * (X @ x))
         return coeff @ X / len(y) + self.lam * x
 
     def minibatch_grad(self, n: int, x: np.ndarray, batch: int,
@@ -252,7 +258,7 @@ class LogisticPopulation:
         k = self.samples_per_client
         idx = rng.choice(k, size=min(batch, k), replace=False)
         X, y = self.features[n][idx], self.labels[n][idx]
-        coeff = -y * expit(-y * (X @ x))
+        coeff = -y * self._expit(-y * (X @ x))
         return coeff @ X / len(y) + self.lam * x
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:

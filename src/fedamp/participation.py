@@ -244,9 +244,12 @@ class SimplexReport:
 
 def verify_simplex(schedule: WeightSchedule, strict: bool = False) -> SimplexReport:
     w = schedule.weights
-    row_err = np.abs(w.sum(axis=1) - 1.0)
+    with np.errstate(invalid="ignore"):    # inf - inf: a NaN sum, caught below
+        row_err = np.abs(w.sum(axis=1) - 1.0)
     neg = w.min()
-    bad = np.nonzero((row_err > SIMPLEX_TOL) | (w.min(axis=1) < 0))[0]
+    # "not within tolerance", so a row with a non-finite weight (its sum is
+    # NaN or inf) is a bad round
+    bad = np.nonzero(~(row_err <= SIMPLEX_TOL) | (w.min(axis=1) < 0))[0]
     report = SimplexReport(ok=bad.size == 0,
                            max_row_error=float(row_err.max()),
                            min_weight=float(neg),

@@ -17,6 +17,9 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy loads numpy.random on first use; every command draws from it, so it
+# is loaded with the package, as part of start-up
+import numpy.random  # noqa: F401
 
 _ZEROS = (0, 0, 0, 0)
 

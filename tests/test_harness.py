@@ -139,6 +139,7 @@ class TestCliRun:
                      str(tmp_path / "x"), "--set", "run.gamma=-1"])
         assert code == 1
         assert "gamma" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()    # no empty output directory
 
     def test_bad_planner_input_exit_1(self, cfg_file, tmp_path, capsys):
         code = main(["run", "--config", cfg_file, "--out", str(tmp_path / "x"),
@@ -233,6 +234,7 @@ class TestCliSweep:
                      str(tmp_path / "s"), "--set", "sweep.axis=T",
                      "--set", "sweep.values="])
         assert code == 1
+        assert not (tmp_path / "s").exists()
 
     def test_all_points_failing_exit_2(self, cfg_file, tmp_path):
         code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
@@ -348,7 +350,7 @@ class TestCliDiagnose:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: P=1: ") and "Traceback" not in err
-        assert not (out / "divergence.csv").exists()
+        assert not out.exists()
 
     def test_empty_P_list_exit_1(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "d"
@@ -356,7 +358,7 @@ class TestCliDiagnose:
                      "--set", "diagnose.P_list="])
         assert code == 1
         assert "error: diagnose P_list is empty" in capsys.readouterr().err
-        assert not (out / "divergence.csv").exists()
+        assert not out.exists()
 
 
 class TestCliBounds:
@@ -416,7 +418,7 @@ class TestCliBounds:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: max_lag must") and "Traceback" not in err
-        assert not (out / "bounds.csv").exists()
+        assert not out.exists()
 
     def test_one_P_omits_variance_slope(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "b"
@@ -448,6 +450,7 @@ class TestCliBounds:
                      "--set", "pattern.p_uu=0.8", "--set", f"{key}={value}"])
         assert code == 1
         assert f"error: {name} must" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
 
 class TestCliPlot:
@@ -476,7 +479,8 @@ class TestCliPlot:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["plot", str(tmp_path / "nope.csv"),
-                     "--out", str(tmp_path)]) == 1
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestSvg:

@@ -48,6 +48,16 @@ class TestSimplexAndRho:
         with pytest.raises(ValueError):
             fa.verify_simplex(sched, strict=True)
 
+    @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [np.inf, -np.inf, 1.0],
+                                     [np.inf, 0.0, 0.0]], ids=["nan", "inf-inf", "inf"])
+    def test_verify_simplex_catches_non_finite_weights(self, row):
+        w = np.full((3, 3), 1 / 3.0)
+        w[1] = row
+        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        assert fa.verify_simplex(sched).bad_rounds == [1]
+        with pytest.raises(ValueError, match=r"rounds \[1\]"):
+            fa.verify_simplex(sched, strict=True)
+
 
 class TestPermutation:
     def test_every_window_averages_to_uniform(self):
@@ -164,6 +174,14 @@ class TestDeterminismAndIO:
         path = tmp_path / "bad.csv"
         path.write_text("t,n,q\n0,0,0.5\n0,1,0.9\n")
         with pytest.raises(ValueError):
+            fa.load_schedule_csv(path)
+
+    @pytest.mark.parametrize("rows", ["0,0,nan\n", "0,0,0.5\n0,1,nan\n1,0,1\n",
+                                      "0,0,inf\n0,1,-inf\n"])
+    def test_load_rejects_non_finite_weight(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,n,q\n" + rows)
+        with pytest.raises(ValueError, match=r"rounds \[0\]"):
             fa.load_schedule_csv(path)
 
 
