@@ -152,6 +152,7 @@ def cmd_sweep(args) -> int:
     values = cfg.get("sweep", "values")
     if not values:
         raise ConfigError("sweep axis has no values")
+    build_pattern(cfg)    # a missing or unknown kind fails here, not per run
     pop = build_population(cfg)
     noise = build_noise(cfg)
 
@@ -178,6 +179,11 @@ def cmd_sweep(args) -> int:
         rows.append([axis, value, point.get("run", "T"), point.get("run", "P"),
                      point.get("pattern", "S"), len(finals), failed, *stats])
 
+    if not any(r[5] for r in rows) and not diverged:
+        # every run was rejected as input (e.g. T = 0): a configuration
+        # error, so nothing is written
+        print("error: every sweep point failed", file=sys.stderr)
+        return 1
     _write_csv(out, "sweep.csv",
                ["axis", "value", "T", "P", "S", "runs", "failed",
                 "min_grad_norm_sq_mean", "min_grad_norm_sq_std",
@@ -191,10 +197,8 @@ def cmd_sweep(args) -> int:
         print(f"fitted log-log slope: {fit.slope:.4f}")
     _write_meta(out, cfg, master, extra)
     if not any(r[5] for r in rows):
-        # a numerical failure only if some run diverged; runs rejected as
-        # input (e.g. T = 0) make it a configuration error
         print("error: every sweep point failed", file=sys.stderr)
-        return 2 if diverged else 1
+        return 2
     print(f"wrote {len(rows)} aggregate rows to {out}/sweep.csv")
     return 0
 

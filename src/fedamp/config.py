@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import MODES, RunConfig
 from .objectives import NoiseModel, build_logistic, build_quadratic
-from .participation import PatternSpec, generate_schedule, rho_bound
+from .participation import PATTERN_KINDS, PatternSpec, generate_schedule, rho_bound
 from .analysis import plan_rates_adaptive, plan_rates_fixed_amp
 from .streams import derive_seed, substream
 
@@ -248,7 +248,10 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
 
 
 def build_pattern(cfg: ExperimentConfig) -> PatternSpec:
-    return PatternSpec(kind=cfg.get("pattern", "kind"),
+    kind = cfg.get("pattern", "kind")
+    if kind not in PATTERN_KINDS:
+        raise ConfigError(f"unknown pattern kind: {kind!r}")
+    return PatternSpec(kind=kind,
                        S=cfg.get("pattern", "S"),
                        G=cfg.get("pattern", "G"),
                        B=cfg.get("pattern", "B"),

@@ -150,22 +150,23 @@ class _LocalSteps:
         k, gamma, steps = len(clients), self.cfg.gamma, self.cfg.local_steps
         Y = self.deltas[:k]
         Y[:] = x
+        labels = clients.tolist()    # Python ints: substream's cheapest labels
         if not self.batched:
             kw = _grad_kwargs(self.cfg)
-            for y, n in zip(Y, clients):
+            for y, n in zip(Y, labels):
                 rng = substream(self.seed, "local", t, n, reuse=self.rng)
                 for _ in range(steps):
                     y -= gamma * self.pop.stochastic_grad(self.noise, n, y, rng, **kw)
             Y -= x
             return Y
         C, G, lam = self.centers[:k], self.grads[:k], self.lam[:k]
-        np.take(self.pop.centers, clients, axis=0, out=C)
+        self.pop.centers.take(clients, axis=0, out=C)
         xi = None
         if self.xi is not None:
-            xi = self.xi[:k]
-            for j, n in enumerate(clients):
+            xi, m = self.xi[:k], self.pop.m
+            for j, n in enumerate(labels):
                 rng = substream(self.seed, "local", t, n, reuse=self.rng)
-                self.noise.sample_block(rng, steps, self.pop.m, out=xi[j])
+                self.noise.sample_block(rng, steps, m, out=xi[j])
         for i in range(steps):  # Y - gamma * (lam * (Y - C) + xi_i)
             np.subtract(Y, C, out=G)
             G *= lam
@@ -310,17 +311,23 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
         if appearing.size == 0:
             continue
         step = np.zeros(pop.m)
-        for n in appearing:  # ascending client index
-            rounds_n = t_start + np.nonzero(window[:, n])[0]
-            if cfg.mode == "wait_full":
-                gbar = pop.grad(n, x)
-            else:
+        if cfg.mode == "wait_full":
+            for n in appearing.tolist():  # ascending client index
+                step += -cfg.gamma * cfg.local_steps * pop.grad(n, x)
+        else:
+            # one nonzero per window: the appearing clients in ascending
+            # order, each with its rounds in ascending order (every appearing
+            # client has at least one)
+            cols, offs = np.nonzero(window[:, appearing].T)
+            rounds = (offs + t_start).tolist()
+            start = 0
+            for n, end in zip(appearing.tolist(), np.cumsum(np.bincount(cols)).tolist()):
                 acc = np.zeros(pop.m)
-                for tr in rounds_n:
-                    rng = substream(seed, "local", int(tr), int(n), reuse=gen)
+                for tr in rounds[start:end]:
+                    rng = substream(seed, "local", tr, n, reuse=gen)
                     acc += pop.stochastic_grad(noise, n, x, rng, **kw)
-                gbar = acc / len(rounds_n)
-            step += -cfg.gamma * cfg.local_steps * gbar
+                step += -cfg.gamma * cfg.local_steps * (acc / (end - start))
+                start = end
         x = x + step / appearing.size
         if not np.all(np.isfinite(x)):
             return rec.finish(x, t)

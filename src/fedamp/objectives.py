@@ -8,6 +8,7 @@ provided for stress testing; its constants are estimated, not exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ class NoiseModel:
         if self.kind == "none" or self.sigma == 0.0:
             return np.zeros(m)
         if self.kind == "gaussian":
-            return rng.normal(0.0, self.sigma / np.sqrt(m), size=m)
+            # math.sqrt rounds as np.sqrt does (correctly), without numpy scalars
+            return rng.normal(0.0, self.sigma / math.sqrt(m), size=m)
         # sphere: uniform direction scaled to radius sigma
         v = rng.normal(size=m)
         return v * (self.sigma / np.linalg.norm(v))
@@ -57,7 +59,7 @@ class NoiseModel:
             out.fill(0.0)
         elif self.kind == "gaussian":
             rng.standard_normal(out=out)
-            out *= self.sigma / np.sqrt(m)
+            out *= self.sigma / math.sqrt(m)
         else:
             rng.standard_normal(out=out)
             for row in out:  # one norm per row, computed as in sample()
@@ -102,8 +104,13 @@ class QuadraticPopulation:
         return self.A @ v
 
     def grad(self, n: int, x: np.ndarray) -> np.ndarray:
-        self._check_index(n)
-        return self._apply_A(x - self.centers[n])
+        # _check_index and _apply_A inlined: this runs once per local step
+        centers = self.centers
+        if not 0 <= n < len(centers):
+            raise IndexError(f"client index {n} out of range [0, {len(centers)})")
+        if self.diag is not None:
+            return self.diag * (x - centers[n])
+        return self.A @ (x - centers[n])
 
     def value(self, n: int, x: np.ndarray) -> float:
         self._check_index(n)
@@ -132,7 +139,7 @@ class QuadraticPopulation:
 
     def stochastic_grad(self, noise: NoiseModel, n: int, x: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
-        return self.grad(n, x) + noise.sample(rng, self.m)
+        return self.grad(n, x) + noise.sample(rng, self.centers.shape[1])
 
 
 def _derived_constants(A, centers, diag):

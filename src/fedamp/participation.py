@@ -16,6 +16,7 @@ import numpy as np
 from .streams import substream
 
 SIMPLEX_TOL = 1e-12
+PATTERN_KINDS = ("full", "independent", "permutation", "periodic", "markov")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class PatternSpec:
     p_uu: float = 0.0
 
     def validate(self, N: int):
-        if self.kind not in ("full", "independent", "permutation", "periodic", "markov"):
+        if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
         if self.kind != "full":
             if not 1 <= self.S <= N:

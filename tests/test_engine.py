@@ -352,3 +352,79 @@ class TestWaitBaselines:
         with pytest.raises(ValueError):
             fa.run_wait_baseline(pop, fa.NoiseModel(), full_schedule(1, 2),
                                  cfg, seed=0)
+
+
+class TestCallContract:
+    """One stream per (t, n) draw site, and one call per step.
+
+    Each nonzero q_t^n gets one substream; the diagonal kernel draws one
+    noise block per participant and the scalar path one stochastic
+    gradient per local step.  wait_minibatch takes one substream and one
+    stochastic gradient per appearance in a window, wait_full one exact
+    gradient per appearing client.  Merging or skipping any of them
+    changes what a seed means.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import fedamp.engine
+        counts = {"substream": 0, "sample_block": 0, "stochastic_grad": 0,
+                  "grad": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(fedamp.engine, "substream")
+        counted(fa.NoiseModel, "sample_block")
+        counted(fa.QuadraticPopulation, "stochastic_grad")
+        counted(fa.QuadraticPopulation, "grad")
+        return counts
+
+    @staticmethod
+    def _setup(rotate, kind):
+        N, T, P, I = 6, 24, 4, 3
+        pop = fa.build_quadratic(N=N, m=3, L=1.0, spread=0.5, seed=5, rotate=rotate)
+        spec = {"independent": fa.PatternSpec("independent", S=2),
+                "markov": fa.PatternSpec("markov", S=3, p_aa=0.7, p_uu=0.6),
+                "periodic": fa.PatternSpec("periodic", S=1, G=3, B=2)}[kind]
+        sched = fa.generate_schedule(spec, N, T, seed=9)
+        nz = sched.weights[:T] != 0
+        windows = nz.reshape(T // P, P, N)
+        return pop, sched, nz, windows, (N, T, P, I)
+
+    @pytest.mark.parametrize("kind", ["independent", "markov", "periodic"])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_generalized(self, calls, rotate, kind):
+        pop, sched, nz, _, (N, T, P, I) = self._setup(rotate, kind)
+        cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=I, amplify_every=P,
+                           rounds=T, x0=np.ones(3))
+        fa.run(pop, fa.NoiseModel("gaussian", 0.5), sched, cfg, seed=3)
+        nnz = int(nz.sum())
+        assert calls["substream"] == nnz
+        if rotate:   # scalar path: one stochastic gradient per local step
+            assert calls["sample_block"] == 0
+            assert calls["stochastic_grad"] == I * nnz
+        else:        # diagonal kernel: one noise block per participant
+            assert calls["sample_block"] == nnz
+            assert calls["stochastic_grad"] == 0
+
+    @pytest.mark.parametrize("kind", ["independent", "markov", "periodic"])
+    @pytest.mark.parametrize("mode", ["wait_minibatch", "wait_full"])
+    def test_wait(self, calls, mode, kind):
+        pop, sched, _, windows, (N, T, P, I) = self._setup(False, kind)
+        cfg = fa.RunConfig(gamma=0.05, eta=1.0, local_steps=I, amplify_every=P,
+                           rounds=T, x0=np.ones(3), mode=mode)
+        fa.run(pop, fa.NoiseModel("gaussian", 0.5), sched, cfg, seed=3)
+        appearances = int(windows.sum())
+        assert calls["sample_block"] == 0
+        if mode == "wait_minibatch":
+            assert calls["substream"] == appearances
+            assert calls["stochastic_grad"] == appearances
+        else:
+            assert calls["substream"] == calls["stochastic_grad"] == 0
+            assert calls["grad"] == int(windows.any(axis=1).sum())

@@ -241,14 +241,37 @@ class TestCliSweep:
                      "--set", "sweep.axis=T", "--set", "sweep.values=64 128",
                      "--set", "run.gamma=10"])
         assert code == 2
+        # a numerical failure still reports its points
+        with open(tmp_path / "s" / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["runs"], r["failed"]) for r in rows] == [("0", "2")] * 2
+        assert (tmp_path / "s" / "meta.txt").exists()
 
     def test_all_points_invalid_exit_1(self, cfg_file, tmp_path, capsys):
-        # T = 0 is rejected as input at every replication: no numerical failure
+        # T = 0 is rejected as input at every replication: no numerical
+        # failure, and a configuration error writes nothing
         code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
                      "--set", "sweep.axis=T", "--set", "sweep.values=0"])
         assert code == 1
         err = capsys.readouterr().err
         assert "need T >= 1" in err and "every sweep point failed" in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        (None, "missing required key [pattern] kind"),
+        ("bogus", "unknown pattern kind: 'bogus'")])
+    def test_bad_pattern_kind_fails_once_up_front(self, tmp_path, capsys,
+                                                  kind, message):
+        text = BASE_CFG.replace("kind = permutation\n",
+                                "" if kind is None else f"kind = {kind}\n")
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s"),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=64 128"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "s").exists()
 
     def test_invalid_and_diverged_points_exit_2(self, cfg_file, tmp_path):
         code = main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),

@@ -1,7 +1,11 @@
 """Objective populations: exact constants against brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedamp as fa
 
@@ -83,8 +87,12 @@ class TestQuadratic:
         with pytest.raises(ValueError):
             fa.build_quadratic(N=2, m=3, L=1.0, spread=-0.5, seed=0)
         pop = fa.build_quadratic(N=2, m=3, L=1.0, spread=0.5, seed=0)
-        with pytest.raises(IndexError):
-            pop.grad(2, np.zeros(3))
+        for n in (-1, 2, np.int64(2)):
+            with pytest.raises(IndexError):
+                pop.grad(n, np.zeros(3))
+            with pytest.raises(IndexError):
+                pop.stochastic_grad(fa.NoiseModel("gaussian", 1.0), n,
+                                    np.zeros(3), fa.substream(0))
         with pytest.raises(ValueError):
             pop.global_grad(np.array([np.nan, 0.0, 0.0]))
 
@@ -111,6 +119,20 @@ class TestNoise:
         seq_rng = fa.substream(5, "x")
         seq = np.stack([noise.sample(seq_rng, 7) for _ in range(4)])
         np.testing.assert_array_equal(block, seq)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=st.floats(0.0, 1e6, exclude_min=True), m=st.integers(1, 512),
+           steps=st.integers(1, 4), seed=st.integers(0, 2**32))
+    def test_gaussian_scale_matches_numpy_sqrt(self, sigma, m, steps, seed):
+        # the scale is sigma / np.sqrt(m) bit for bit, at every m
+        assert all(sigma / math.sqrt(k) == sigma / np.sqrt(k) for k in range(1, 513))
+        noise = fa.NoiseModel("gaussian", sigma)
+        scale = sigma / np.sqrt(m)
+        np.testing.assert_array_equal(noise.sample(fa.substream(seed), m),
+                                      fa.substream(seed).normal(0.0, scale, size=m))
+        ref = fa.substream(seed).standard_normal((steps, m)) * scale
+        np.testing.assert_array_equal(
+            noise.sample_block(fa.substream(seed), steps, m), ref)
 
     def test_none_and_validation(self):
         assert not fa.NoiseModel("none", 0.0).sample(fa.substream(0), 3).any()
