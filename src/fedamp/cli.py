@@ -125,7 +125,7 @@ def _sweep_point(cfg, axis, value) -> ExperimentConfig:
         T = value
     elif axis == "P":
         P = value
-    elif axis == "S":
+    else:  # S
         if cfg.get("sweep", "st_fixed"):
             if value <= 0 or (S * T) % value != 0:
                 raise ConfigError(f"S*T={S * T} not divisible by swept S={value}")
@@ -136,8 +136,6 @@ def _sweep_point(cfg, axis, value) -> ExperimentConfig:
             if S <= 0 or N % S != 0:
                 raise ConfigError(f"permutation sweep needs S | N, got S={S}")
             P = N // S
-    else:
-        raise ConfigError(f"unknown sweep axis: {axis!r}")
     ev = cfg.get("run", "eval_every")
     if ev <= 0 < P:
         # keep the checkpoint count comparable across sweep points
@@ -150,9 +148,7 @@ def cmd_sweep(args) -> int:
     cfg, master, out = _open(args)
     axis = cfg.get("sweep", "axis")
     values = cfg.get("sweep", "values")
-    if not values:
-        raise ConfigError("sweep axis has no values")
-    build_pattern(cfg)    # a missing or unknown kind fails here, not per run
+    build_pattern(cfg)    # a missing kind fails here, not per run
     pop = build_population(cfg)
     noise = build_noise(cfg)
 
@@ -189,9 +185,9 @@ def cmd_sweep(args) -> int:
                 "min_grad_norm_sq_mean", "min_grad_norm_sq_std",
                 "min_grad_norm_sq_median"], rows)
     extra = []
-    # the fit needs three points with a positive median
+    # the fit needs three points with a positive median, at two T or more
     good = [(r[1], float(r[9])) for r in rows if r[5] > 0 and float(r[9]) > 0]
-    if axis == "T" and len(good) >= 3:
+    if axis == "T" and len(good) >= 3 and len({T for T, _ in good}) > 1:
         fit = fit_convergence_slope(*zip(*good))
         extra.append(f"slope_fit = {_q17(fit.slope)} +- {_q17(fit.stderr)}")
         print(f"fitted log-log slope: {fit.slope:.4f}")
@@ -208,8 +204,6 @@ def cmd_diagnose(args) -> int:
     pop = build_population(cfg)
     T = cfg.get("run", "T")
     P_list = cfg.get("diagnose", "P_list")
-    if not P_list:
-        raise ConfigError("diagnose P_list is empty")
     sched = build_schedule(cfg, pop.N, T, derive_seed(master, "rep0"))
     points = cfg.get("diagnose", "points")
     if points > 0:
@@ -250,8 +244,6 @@ def cmd_bounds(args) -> int:
     pat = build_pattern(cfg)
     which = cfg.values.get(("bounds", "check"),
                            "chebyshev" if pat.kind == "markov" else "hoeffding")
-    if which not in ("hoeffding", "chebyshev"):
-        raise ConfigError(f"unknown bounds check: {which!r}")
     N = cfg.get("population", "N")
 
     extra = []
@@ -436,6 +428,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:    # numpy names the shape it could not allocate
+        print(f"error: {exc}; reduce [run] T or I, or [population] N, m or "
+              f"samples_per_client", file=sys.stderr)
         return 1
 
 

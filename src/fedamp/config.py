@@ -1,9 +1,9 @@
 """Experiment configuration: flat key = value sections.
 
 A config file fully determines an experiment given a master seed.  Keys
-are validated against a fixed schema; unknown sections or keys are
-rejected so typos fail loudly.  Parsing and serialization round-trip:
-serialize(parse(text)) is idempotent.
+and each value's domain are checked against a fixed schema at load;
+unknown sections or keys are rejected so typos fail loudly.  Parsing and
+serialization round-trip: serialize(parse(text)) is idempotent.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return value
-
-
 def _int_list(text: str):
-    return [int(v) for v in text.replace(",", " ").split()]
+    values = [int(v) for v in text.replace(",", " ").split()]
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 def _offset(text: str):
@@ -62,59 +58,63 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# (section, key) -> (parser, default); None default means required when
-# the section is active.  Sections themselves are optional unless the
-# subcommand needs them.
+PLANNERS = {"cor3.2": plan_rates_adaptive, "cor3.3": plan_rates_fixed_amp}
+
+# (section, key) -> (parser, default, domain).  A None default means the
+# key is required when its section is active; sections themselves are
+# optional unless the subcommand needs them.  The domain is None (every
+# parsed value), a tuple of choices, or a lower bound (a float must also
+# be finite); _parse_value applies it to file values and overrides alike.
 SCHEMA = {
-    ("population", "kind"): (str, "quadratic"),
-    ("population", "N"): (int, None),
-    ("population", "m"): (int, 16),
-    ("population", "L"): (float, 1.0),
-    ("population", "spread"): (float, 0.5),
-    ("population", "seed"): (int, 42),
-    ("population", "spectrum"): (str, "uniform"),       # uniform|linspace|geomspace
-    ("population", "eigen_lo"): (float, 0.1),
-    ("population", "eigen_hi"): (float, 1.0),
-    ("population", "rotate"): (_bool, True),
-    ("population", "noise"): (str, "none"),
-    ("population", "sigma"): (float, 0.0),
-    ("population", "samples_per_client"): (int, 64),    # logistic only
-    ("population", "reg"): (float, 1e-3),               # logistic only
-    ("pattern", "kind"): (str, None),
-    ("pattern", "S"): (int, 0),
-    ("pattern", "G"): (int, 0),
-    ("pattern", "B"): (int, 0),
-    ("pattern", "offset"): (_offset, "random"),
-    ("pattern", "p_aa"): (float, 0.0),
-    ("pattern", "p_uu"): (float, 0.0),
-    ("run", "planner"): (str, "none"),                  # none|cor3.2|cor3.3
-    ("run", "gap"): (_gap, "exact"),                    # planner objective gap
-    ("run", "gamma"): (float, 0.0),
-    ("run", "eta"): (float, 1.0),
-    ("run", "I"): (int, 5),
-    ("run", "P"): (int, 1),
-    ("run", "T"): (int, None),
-    ("run", "eval_every"): (int, 0),                    # 0: every P rounds
-    ("run", "mode"): (str, "generalized"),
-    ("run", "minibatch"): (int, 0),                     # 0: full local gradient
-    ("run", "x0_kind"): (str, "uniform"),               # zero|uniform|gaussian|spectral
-    ("run", "x0_scale"): (float, 1.0),
-    ("sweep", "axis"): (str, None),                     # T|P|S
-    ("sweep", "values"): (_int_list, None),
-    ("sweep", "st_fixed"): (_bool, False),
-    ("bounds", "check"): (str, None),                   # hoeffding|chebyshev; unset: by pattern
-    ("bounds", "P"): (int, 64),
-    ("bounds", "P_list"): (_int_list, [16, 32, 64, 128, 256, 512, 1024]),
-    ("bounds", "c"): (float, 0.05),
-    ("bounds", "chebyshev_c"): (float, 0.1),
-    ("bounds", "trials"): (int, 10000),
-    ("bounds", "mixing_trials"): (int, 200),
-    ("bounds", "max_lag"): (int, 40),
-    ("diagnose", "P_list"): (_int_list, [1, 2, 4, 8]),
-    ("diagnose", "points"): (int, 0),                   # 0: exact mode
-    ("seeds", "master"): (int, 0),
-    ("seeds", "replications"): (_count, 1),
-    ("output", "dir"): (str, "out"),
+    ("population", "kind"): (str, "quadratic", ("quadratic", "logistic")),
+    ("population", "N"): (int, None, None),
+    ("population", "m"): (int, 16, None),
+    ("population", "L"): (float, 1.0, None),
+    ("population", "spread"): (float, 0.5, None),
+    ("population", "seed"): (int, 42, 0),
+    ("population", "spectrum"): (str, "uniform", ("uniform", "linspace", "geomspace")),
+    ("population", "eigen_lo"): (float, 0.1, None),
+    ("population", "eigen_hi"): (float, 1.0, None),
+    ("population", "rotate"): (_bool, True, None),
+    ("population", "noise"): (str, "none", None),
+    ("population", "sigma"): (float, 0.0, None),
+    ("population", "samples_per_client"): (int, 64, None),    # logistic only
+    ("population", "reg"): (float, 1e-3, 0.0),                # logistic only
+    ("pattern", "kind"): (str, None, PATTERN_KINDS),
+    ("pattern", "S"): (int, 0, None),
+    ("pattern", "G"): (int, 0, None),
+    ("pattern", "B"): (int, 0, None),
+    ("pattern", "offset"): (_offset, "random", None),
+    ("pattern", "p_aa"): (float, 0.0, None),
+    ("pattern", "p_uu"): (float, 0.0, None),
+    ("run", "planner"): (str, "none", ("none", *PLANNERS)),
+    ("run", "gap"): (_gap, "exact", None),                    # planner objective gap
+    ("run", "gamma"): (float, 0.0, None),
+    ("run", "eta"): (float, 1.0, None),
+    ("run", "I"): (int, 5, None),
+    ("run", "P"): (int, 1, None),
+    ("run", "T"): (int, None, None),
+    ("run", "eval_every"): (int, 0, 0),                       # 0: every P rounds
+    ("run", "mode"): (str, "generalized", MODES),
+    ("run", "minibatch"): (int, 0, 0),                        # 0: full local gradient
+    ("run", "x0_kind"): (str, "uniform", ("zero", "uniform", "gaussian", "spectral")),
+    ("run", "x0_scale"): (float, 1.0, 0.0),
+    ("sweep", "axis"): (str, None, ("T", "P", "S")),
+    ("sweep", "values"): (_int_list, None, None),
+    ("sweep", "st_fixed"): (_bool, False, None),
+    ("bounds", "check"): (str, None, ("hoeffding", "chebyshev")),  # unset: by pattern
+    ("bounds", "P"): (int, 64, None),
+    ("bounds", "P_list"): (_int_list, [16, 32, 64, 128, 256, 512, 1024], None),
+    ("bounds", "c"): (float, 0.05, None),
+    ("bounds", "chebyshev_c"): (float, 0.1, None),
+    ("bounds", "trials"): (int, 10000, None),
+    ("bounds", "mixing_trials"): (int, 200, None),
+    ("bounds", "max_lag"): (int, 40, None),
+    ("diagnose", "P_list"): (_int_list, [1, 2, 4, 8], None),
+    ("diagnose", "points"): (int, 0, 0),                      # 0: exact mode
+    ("seeds", "master"): (int, 0, None),
+    ("seeds", "replications"): (int, 1, 1),
+    ("output", "dir"): (str, "out", None),
 }
 
 _SECTION_ORDER = ["population", "pattern", "run", "sweep", "bounds",
@@ -130,7 +130,7 @@ class ExperimentConfig:
     def get(self, section: str, key: str):
         if (section, key) in self.values:
             return self.values[(section, key)]
-        parser, default = SCHEMA[(section, key)]
+        default = SCHEMA[(section, key)][1]
         if default is None:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
@@ -153,13 +153,20 @@ def _schema_index(sk):
 
 
 def _parse_value(section: str, key: str, raw: str, source: str = ""):
-    """Parse one raw value by the schema; `source` ("override ") names
-    where it came from in the error messages."""
+    """Parse one raw value by the schema and check it lies in the key's
+    domain; `source` ("override ") names where it came from in the error
+    messages."""
     if (section, key) not in SCHEMA:
         raise ConfigError(f"unknown {source}key [{section}] {key}")
-    parser, _ = SCHEMA[(section, key)]
+    parser, _, domain = SCHEMA[(section, key)]
     try:
-        return parser(raw)
+        value = parser(raw)
+        if isinstance(domain, tuple):
+            if value not in domain:
+                raise ConfigError(f"unknown {section} {key}: {value!r}")
+        elif domain is not None and not domain <= value < np.inf:
+            raise ValueError(f"must be finite and >= {domain}")
+        return value
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -217,12 +224,10 @@ def build_population(cfg: ExperimentConfig):
             eig = None
         elif spectrum == "linspace":
             eig = np.linspace(lo, hi, m)
-        elif spectrum == "geomspace":
-            if lo <= 0:
-                raise ConfigError("geomspace spectrum needs eigen_lo > 0")
-            eig = np.geomspace(lo, hi, m)
+        elif not (lo > 0 and hi > 0):
+            raise ConfigError("geomspace spectrum needs eigen_lo, eigen_hi > 0")
         else:
-            raise ConfigError(f"unknown spectrum kind: {spectrum!r}")
+            eig = np.geomspace(lo, hi, m)
         try:
             return build_quadratic(N, m, cfg.get("population", "L"),
                                    cfg.get("population", "spread"), seed,
@@ -230,13 +235,11 @@ def build_population(cfg: ExperimentConfig):
                                    rotate=cfg.get("population", "rotate"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    if kind == "logistic":
-        try:
-            return build_logistic(N, m, cfg.get("population", "samples_per_client"),
-                                  seed, lam=cfg.get("population", "reg"))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown population kind: {kind!r}")
+    try:
+        return build_logistic(N, m, cfg.get("population", "samples_per_client"),
+                              seed, lam=cfg.get("population", "reg"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_noise(cfg: ExperimentConfig) -> NoiseModel:
@@ -248,10 +251,7 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
 
 
 def build_pattern(cfg: ExperimentConfig) -> PatternSpec:
-    kind = cfg.get("pattern", "kind")
-    if kind not in PATTERN_KINDS:
-        raise ConfigError(f"unknown pattern kind: {kind!r}")
-    return PatternSpec(kind=kind,
+    return PatternSpec(kind=cfg.get("pattern", "kind"),
                        S=cfg.get("pattern", "S"),
                        G=cfg.get("pattern", "G"),
                        B=cfg.get("pattern", "B"),
@@ -275,14 +275,12 @@ def build_x0(cfg: ExperimentConfig, pop, master_seed: int) -> np.ndarray:
     if kind == "gaussian":
         v = substream(derive_seed(master_seed, "x0"), "x0").normal(size=m)
         return center + scale * v / np.linalg.norm(v)
-    if kind == "spectral":
-        # per-eigenvalue offsets sqrt(scale/lam): spreads the initial error
-        # across the spectrum so no single curvature dominates the decay
-        diag = getattr(pop, "diag", None)
-        if diag is None or np.any(diag <= 0):
-            raise ConfigError("spectral x0 needs a diagonal positive spectrum")
-        return center + np.sqrt(scale / diag)
-    raise ConfigError(f"unknown x0 kind: {kind!r}")
+    # spectral: per-eigenvalue offsets sqrt(scale/lam) spread the initial
+    # error across the spectrum so no single curvature dominates the decay
+    diag = getattr(pop, "diag", None)
+    if diag is None or np.any(diag <= 0):
+        raise ConfigError("spectral x0 needs a diagonal positive spectrum")
+    return center + np.sqrt(scale / diag)
 
 
 def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
@@ -303,11 +301,8 @@ def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
     sigma = cfg.get("population", "sigma") if cfg.get("population", "noise") != "none" else 0.0
     rho = rho_bound(schedule)
     I, P, T = cfg.get("run", "I"), cfg.get("run", "P"), cfg.get("run", "T")
-    planners = {"cor3.2": plan_rates_adaptive, "cor3.3": plan_rates_fixed_amp}
-    if planner not in planners:
-        raise ConfigError(f"unknown planner: {planner!r}")
     try:
-        plan = planners[planner](L, gap, sigma, rho, I, P, T)
+        plan = PLANNERS[planner](L, gap, sigma, rho, I, P, T)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not plan.valid:
@@ -320,15 +315,11 @@ def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
     cfg = cfg if T is None else ExperimentConfig({**cfg.values, ("run", "T"): T})
     x0 = build_x0(cfg, pop, master_seed)
     gamma, eta = resolve_plan(cfg, pop, schedule, x0)
-    mode = cfg.get("run", "mode")
-    if mode not in MODES:
-        raise ConfigError(f"unknown run mode: {mode!r}")
-    ev = cfg.get("run", "eval_every")
-    mb = cfg.get("run", "minibatch")
     rc = RunConfig(gamma=gamma, eta=eta, local_steps=cfg.get("run", "I"),
                    amplify_every=cfg.get("run", "P"), rounds=cfg.get("run", "T"),
-                   x0=x0, eval_every=ev if ev > 0 else None, mode=mode,
-                   minibatch=mb if mb > 0 else None)
+                   x0=x0, eval_every=cfg.get("run", "eval_every") or None,
+                   mode=cfg.get("run", "mode"),
+                   minibatch=cfg.get("run", "minibatch") or None)
     try:
         rc.validate(pop)
     except ValueError as exc:

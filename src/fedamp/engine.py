@@ -9,12 +9,13 @@ single averaged step instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .objectives import NoiseModel, QuadraticPopulation
-from .participation import WeightSchedule, rho_bound
+from .participation import WeightSchedule, verify_simplex
 from .streams import substream
 
 MODES = ("generalized", "wait_minibatch", "wait_full")
@@ -189,6 +190,7 @@ class _Recorder:
         if schedule.N != pop.N:
             raise ValueError(f"schedule has {schedule.N} clients, population "
                              f"has {pop.N}")
+        report = verify_simplex(schedule, strict=True)
         P, T = cfg.amplify_every, cfg.rounds
         self.pop, self.T = pop, T
         self.checkpoints = set(range(0, T + 1, cfg.checkpoint_step)) | {T}
@@ -196,7 +198,7 @@ class _Recorder:
         self.meta = {"seed": int(seed), "pattern": schedule.pattern,
                      "mode": cfg.mode, "gamma": cfg.gamma, "eta": cfg.eta,
                      "I": cfg.local_steps, "P": P, "T": T,
-                     "rho": rho_bound(schedule)}
+                     "rho": math.sqrt(report.rho2)}
         self.t, self.f, self.g2, self.mg2, self.bnd = [], [], [], [], []
         self.running_min = np.inf
         self.max_residual = 0.0

@@ -41,6 +41,8 @@ class PatternSpec:
     def validate(self, N: int):
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
+        if N < 1:
+            raise ValueError(f"need N >= 1, got N={N}")
         if self.kind != "full":
             if not 1 <= self.S <= N:
                 raise ValueError(f"need 1 <= S <= N, got S={self.S}, N={N}")

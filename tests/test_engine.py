@@ -240,6 +240,30 @@ class TestTraceAndValidation:
                 fa.run(pop, fa.NoiseModel(), full_schedule(3, 4),
                        dataclasses.replace(cfg, mode=mode), seed=0)
 
+    @pytest.mark.parametrize("mode", ["generalized", "wait_minibatch", "wait_full"])
+    def test_off_simplex_schedule_rejected(self, mode):
+        # round 1 sums to 1 but holds a negative weight
+        pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=0.5, seed=31)
+        w = np.full((4, 3), 1 / 3.0)
+        w[1] = [0.5, 0.7, -0.2]
+        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,
+                           rounds=4, x0=np.ones(2), mode=mode)
+        with pytest.raises(ValueError, match=r"simplex violation in rounds \[1\]"):
+            fa.run(pop, fa.NoiseModel(), sched, cfg, seed=0)
+
+    @pytest.mark.parametrize("kind,kw", [
+        ("full", {}), ("independent", {"S": 3}), ("permutation", {"S": 2}),
+        ("periodic", {"S": 1, "G": 3, "B": 2}),
+        ("markov", {"S": 3, "p_aa": 0.9, "p_uu": 0.8})])
+    def test_meta_rho_is_rho_bound(self, kind, kw):
+        pop = fa.build_quadratic(N=6, m=2, L=1.0, spread=0.5, seed=32)
+        sched = fa.generate_schedule(fa.PatternSpec(kind, **kw), 6, 8, seed=5)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,
+                           rounds=8, x0=np.ones(2))
+        tr = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=0)
+        assert tr.meta["rho"] == fa.rho_bound(sched)
+
     def test_wait_baseline_rejects_short_schedule(self):
         # windows past the end of the schedule would be silently empty
         pop = fa.build_quadratic(N=2, m=2, L=1.0, spread=0.5, seed=30)

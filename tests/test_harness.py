@@ -10,7 +10,8 @@ import pytest
 import fedamp as fa
 from fedamp import cli
 from fedamp.cli import main, paperdemo_arms
-from fedamp.config import build_population, build_schedule
+from fedamp.config import (SCHEMA, _fmt, _parse_value, build_pattern,
+                           build_population, build_schedule)
 from fedamp.svg import line_chart
 
 BASE_CFG = """\
@@ -71,6 +72,11 @@ class TestConfig:
         cfg = fa.parse_config_text("[population]\nm = 4\n")
         with pytest.raises(fa.ConfigError):
             cfg.get("population", "N")
+
+    def test_schema_defaults_lie_in_their_domains(self):
+        for (section, key), (_, default, _) in SCHEMA.items():
+            if default is not None:
+                assert _parse_value(section, key, _fmt(default)) == default, key
 
     def test_overrides(self, cfg_file):
         cfg = fa.load_config(cfg_file, ["run.T=128", "population.sigma=0"])
@@ -181,6 +187,44 @@ class TestCliRun:
         assert code == 1
         assert "minibatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,setting", [
+        # each was a traceback, a key-less message or a silently different run
+        ("run.x0_scale", "nan", "run.planner=cor3.2"),
+        ("run.x0_scale", "inf", "run.planner=cor3.2"),
+        ("run.x0_scale", "-1", "run.planner=cor3.2"),
+        ("run.minibatch", "-1", "population.kind=logistic"),
+        ("run.eval_every", "-1", "run.planner=none"),
+        ("diagnose.points", "-1", "run.planner=none"),
+        ("population.reg", "nan", "population.kind=logistic"),
+        ("population.reg", "-1", "population.kind=logistic"),
+        ("population.seed", "-1", "run.planner=none")])
+    def test_out_of_domain_value_exit_1(self, cfg_file, tmp_path, capsys,
+                                        key, value, setting):
+        section, name = key.split(".")
+        command = "diagnose" if section == "diagnose" else "run"
+        out = tmp_path / "x"
+        code = main([command, "--config", cfg_file, "--out", str(out),
+                     "--set", setting, "--set", f"{key}={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad override value for [{section}] {name}: "
+                              f"{value!r} (must be finite and >= ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unallocatable_size_exit_1(self, cfg_file, tmp_path, capsys):
+        # the (T, N) schedule needs 57 PiB, more than a process can address,
+        # so it fails at once under any overcommit policy: no memory is used
+        out = tmp_path / "x"
+        code = main(["run", "--config", cfg_file, "--out", str(out),
+                     "--set", "run.T=1000000000000000"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ")
+        assert "shape (1000000000000000, 8)" in err and "[run] T" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_minibatch_on_quadratic_is_config_error(self, cfg_file):
         from fedamp.config import build_population, build_run_config, build_schedule
         cfg = fa.load_config(cfg_file, ["run.minibatch=2"])
@@ -287,6 +331,14 @@ class TestCliSweep:
         assert code == 0
         assert "slope_fit" not in (out / "meta.txt").read_text()
 
+    def test_repeated_T_skips_slope_fit(self, cfg_file, tmp_path):
+        # three usable points at one T make a singular log-log fit
+        out = tmp_path / "s"
+        code = main(["sweep", "--config", cfg_file, "--out", str(out),
+                     "--set", "sweep.axis=T", "--set", "sweep.values=64 64 64"])
+        assert code == 0
+        assert "slope_fit" not in (out / "meta.txt").read_text()
+
     def test_missing_sweep_section_exit_1(self, cfg_file, tmp_path, capsys):
         assert main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s")]) == 1
         assert "missing required key [sweep] axis" in capsys.readouterr().err
@@ -380,7 +432,8 @@ class TestCliDiagnose:
         code = main(["diagnose", "--config", cfg_file, "--out", str(out),
                      "--set", "diagnose.P_list="])
         assert code == 1
-        assert "error: diagnose P_list is empty" in capsys.readouterr().err
+        assert ("error: bad override value for [diagnose] P_list: ''"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -542,9 +595,20 @@ class TestPaperdemoShape:
         assert cycle["amplified"] < per_round["amplified"]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestReadme:
     def test_quick_start_runs(self, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+        (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
         exec(compile(block, "README.md", "exec"), {})
         assert float(capsys.readouterr().out) >= 0.0
+
+    def test_config_block_loads_and_runs(self, tmp_path):
+        (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), flags=re.S)
+        cfg = fa.parse_config_text(block)
+        assert build_population(cfg).N == cfg.get("population", "N")
+        assert build_pattern(cfg).kind == cfg.get("pattern", "kind")
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0

@@ -38,6 +38,11 @@ class TestSimplexAndRho:
         pair = make("independent", N=8, T=30, S=2)
         assert fa.rho_bound(pair) == pytest.approx(0.70710678118654752)
 
+    def test_no_clients_rejected(self):
+        # full weights are 1/N
+        with pytest.raises(ValueError, match="need N >= 1, got N=0"):
+            make("full", N=0, T=4)
+
     def test_verify_simplex_catches_bad_rows(self):
         w = np.full((4, 3), 1 / 3.0)
         w[2] = [0.6, 0.6, 0.0]     # sums to 1.2

@@ -1,8 +1,11 @@
 """The paper's identities as properties over random inputs."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -13,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fedamp as fa
-from fedamp import participation
+from fedamp import cli, participation
 from fedamp.analysis import _round_quantities
-from fedamp.config import SCHEMA, _bool, _count, _gap, _int_list, _offset
+from fedamp.config import SCHEMA, _bool, _fmt, _gap, _int_list, _offset
 from fedamp.engine import RunState
 
 # values k/1000 for |k| <= 10^6: wide range, no subnormal squares
@@ -130,26 +133,106 @@ def test_eta_one_leaves_x_bitwise(state):
     assert fa.amplify(state, 1.0).x.tobytes() == state.x.tobytes()
 
 
-# one strategy per schema parser: every value it can produce from text
+# per parser, every value it can produce from text; a key's declared
+# domain narrows it (_int_list rejects an empty list itself)
 FINITE = st.floats(allow_nan=False)
 PARSED = {int: st.integers(-10**12, 10**12), float: FINITE, _bool: st.booleans(),
-          _count: st.integers(1, 10**6),
           str: st.from_regex(r"[A-Za-z0-9_.+-]{1,12}", fullmatch=True),
-          _int_list: st.lists(st.integers(-10**6, 10**6), max_size=6),
+          _int_list: st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6),
           _offset: st.one_of(st.just("random"), st.integers(0, 10**6)),
           _gap: st.one_of(st.just("exact"), FINITE)}
+
+
+def in_domain(key):
+    """The values key's parser can produce that lie in its declared domain."""
+    parser, _, domain = SCHEMA[key]
+    if isinstance(domain, tuple):
+        return st.sampled_from(domain)
+    if domain is None:
+        return PARSED[parser]
+    if parser is int:
+        return st.integers(domain, 10**12)
+    return st.floats(min_value=domain, allow_infinity=False)
 
 
 @st.composite
 def configs(draw):
     keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True))
-    return fa.ExperimentConfig({k: draw(PARSED[SCHEMA[k][0]]) for k in keys})
+    return fa.ExperimentConfig({k: draw(in_domain(k)) for k in keys})
 
 
 @settings(max_examples=100, deadline=None)
 @given(configs())
 def test_config_round_trip(cfg):
     assert fa.parse_config_text(cfg.serialize()).values == cfg.values
+
+
+# every section a command reads, sized so any small override runs in ms
+FUZZ_CFG = """\
+[population]
+N = 4
+m = 2
+
+[pattern]
+kind = independent
+S = 2
+
+[run]
+gamma = 0.05
+I = 2
+P = 2
+T = 8
+
+[sweep]
+axis = T
+values = 4 8
+
+[bounds]
+P = 4
+P_list = 2 4
+trials = 20
+mixing_trials = 8
+max_lag = 2
+
+[diagnose]
+P_list = 1 2
+"""
+SPECIAL = st.sampled_from(["", "nan", "inf", "-1", "0", "bogus"])
+
+
+def small_value(key):
+    """Text of a small value in key's domain; a lower bound is drawn too."""
+    parser, _, domain = SCHEMA[key]
+    if isinstance(domain, tuple):
+        return st.sampled_from(domain)
+    lo = domain or 0
+    return {int: st.integers(lo, 8), float: st.floats(lo, 4.0),
+            _bool: st.booleans(), str: st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+            _int_list: st.lists(st.integers(1, 8), min_size=1, max_size=3),
+            _offset: st.one_of(st.just("random"), st.integers(0, 8)),
+            _gap: st.one_of(st.just("exact"), st.floats(0.0, 4.0))}[parser].map(_fmt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["run", "sweep", "diagnose", "bounds"]),
+       st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=3, unique=True),
+       st.data())
+def test_cli_exits_cleanly_under_random_overrides(command, keys, data):
+    argv = [command]
+    for section, key in keys:
+        value = data.draw(st.one_of(small_value((section, key)), SPECIAL),
+                          label=f"{section}.{key}")
+        argv += ["--set", f"{section}.{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
+        config.write_text(FUZZ_CFG)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + ["--config", str(config), "--out", str(out)])
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        if code == 1:    # an input error writes nothing
+            assert not out.exists()
 
 
 @st.composite
