@@ -5,8 +5,8 @@ from .objectives import (LogisticPopulation, NoiseModel, QuadraticPopulation,
 from .participation import (PatternSpec, SimplexReport, WeightSchedule,
                             WindowStats, generate_schedule, load_schedule_csv,
                             rho_bound, verify_simplex, window_averages)
-from .engine import (RunConfig, RunState, Trace, amplify, checkpoint_eval,
-                     run, run_wait_baseline)
+from .engine import (RunConfig, Trace, amplify, checkpoint_eval, run,
+                     run_wait_baseline)
 from .analysis import (BoundCheck, DivergenceReport, LRPlan, MixingReport,
                        SlopeFit, ball_samples, chebyshev_mixing_check,
                        choose_amplification_interval, divergence_at_offsets,

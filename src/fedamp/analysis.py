@@ -103,10 +103,14 @@ def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
 
 def sample_offsets(pop, points: np.ndarray) -> np.ndarray:
     """Client offsets grad F_n(x) - grad f(x) at each sample point x, shape
-    (k, N, m): N gradients a point."""
+    (k, N, m): N gradients a point.  A shared-curvature quadratic's offsets
+    do not depend on x, so they are taken exactly, free of the cancellation
+    that gradients of size ~L|x| would suffer far from the optimum."""
     points = np.atleast_2d(points)
     if points.size == 0:
         raise ValueError("empty sample set")
+    if isinstance(pop, QuadraticPopulation):
+        return np.broadcast_to(pop.gradient_offsets(), (len(points), pop.N, pop.m))
     grads = np.stack([[pop.grad(n, x) for n in range(pop.N)] for x in points])
     return grads - grads.mean(axis=1, keepdims=True)
 

@@ -287,10 +287,7 @@ def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
     """Return (gamma, eta) honoring the planner directive."""
     planner = cfg.get("run", "planner")
     if planner == "none":
-        gamma = cfg.get("run", "gamma")
-        if gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {gamma}")
-        return gamma, cfg.get("run", "eta")
+        return cfg.get("run", "gamma"), cfg.get("run", "eta")
     gap = cfg.get("run", "gap")
     if gap == "exact":
         f_star = getattr(pop, "f_star", None)

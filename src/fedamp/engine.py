@@ -46,6 +46,10 @@ class RunConfig:
                              f"T={self.rounds}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
+        if self.minibatch is not None and self.minibatch < 1:
+            raise ValueError(f"need minibatch >= 1 or None, got {self.minibatch}")
+        if self.eval_every is not None and self.eval_every < 0:
+            raise ValueError(f"need eval_every >= 0 or None, got {self.eval_every}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be finite")
         if pop is None:
@@ -62,25 +66,11 @@ class RunConfig:
         return self.eval_every if self.eval_every else self.amplify_every
 
 
-@dataclass
-class RunState:
-    """Engine state; exposed so the amplification contract is testable."""
-
-    x: np.ndarray    # parameter after the update of round t
-    u: np.ndarray    # accumulated update since t0
-    t0: int
-    t: int           # round just completed
-    P: int
-
-
-def amplify(state: RunState, eta: float) -> RunState:
-    """Apply x <- x + (eta - 1) u at an interval boundary; reset u and t0."""
-    if state.t + 1 - state.t0 != state.P:
-        raise ValueError(f"amplify called off-boundary: t={state.t}, "
-                         f"t0={state.t0}, P={state.P}")
-    x = state.x if eta == 1.0 else state.x + (eta - 1.0) * state.u
-    return RunState(x=x, u=np.zeros_like(state.u), t0=state.t + 1,
-                    t=state.t, P=state.P)
+def amplify(x: np.ndarray, u: np.ndarray, eta: float) -> None:
+    """At an interval boundary, x <- x + (eta - 1) u and u <- 0, in place."""
+    if eta != 1.0:
+        x += (eta - 1.0) * u
+    u.fill(0.0)
 
 
 @dataclass(frozen=True)
@@ -92,9 +82,12 @@ class Trace:
     is_boundary: np.ndarray
     x_final: np.ndarray
     meta: dict = field(default_factory=dict)
-    diverged: bool = False
     diverged_round: int | None = None
     max_boundary_residual: float = 0.0
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_round is not None
 
     @property
     def final_min_grad_norm_sq(self) -> float:
@@ -192,9 +185,7 @@ class _Recorder:
                              f"has {pop.N}")
         report = verify_simplex(schedule, strict=True)
         P, T = cfg.amplify_every, cfg.rounds
-        self.pop, self.T = pop, T
-        self.checkpoints = set(range(0, T + 1, cfg.checkpoint_step)) | {T}
-        self.boundaries = set(range(0, T + 1, P))
+        self.pop, self.T, self.P, self.step = pop, T, P, cfg.checkpoint_step
         self.meta = {"seed": int(seed), "pattern": schedule.pattern,
                      "mode": cfg.mode, "gamma": cfg.gamma, "eta": cfg.eta,
                      "I": cfg.local_steps, "P": P, "T": T,
@@ -206,7 +197,7 @@ class _Recorder:
     def checkpoint(self, t, x) -> bool:
         """Evaluate and store the checkpoint of round t if one is due;
         False if its values overflowed."""
-        if t not in self.checkpoints:
+        if t % self.step and t != self.T:
             return True
         with np.errstate(over="ignore", invalid="ignore"):
             fval, g2 = checkpoint_eval(self.pop, x)
@@ -216,7 +207,7 @@ class _Recorder:
         if np.isfinite(g2):
             self.running_min = min(self.running_min, g2)
         self.mg2.append(self.running_min)
-        self.bnd.append(t in self.boundaries)
+        self.bnd.append(t % self.P == 0)
         return bool(np.isfinite(fval) and np.isfinite(g2))
 
     def finish(self, x, diverged_round=None) -> Trace:
@@ -226,9 +217,7 @@ class _Recorder:
                      min_grad_norm_sq=np.array(self.mg2),
                      is_boundary=np.array(self.bnd, dtype=bool),
                      x_final=np.nan_to_num(x),  # x is finite but at a non-finite exit
-                     meta=self.meta,
-                     diverged=diverged_round is not None,
-                     diverged_round=diverged_round,
+                     meta=self.meta, diverged_round=diverged_round,
                      max_boundary_residual=self.max_residual)
 
     def final(self, x) -> Trace:
@@ -248,8 +237,7 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     P, T = cfg.amplify_every, cfg.rounds
     x = np.array(cfg.x0, dtype=float)
     u = np.zeros(pop.m)
-    t0 = 0
-    x_at_t0 = x.copy()
+    x_start = x.copy()    # x at the start of the current interval
 
     per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
     rows = pop.N if simulate_all else int(per_round.max(initial=0))
@@ -271,15 +259,14 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
         step = deltas.sum(axis=0)
         x += step
         u += step
-        if t + 1 - t0 == P:
+        if (t + 1) % P == 0:
             with np.errstate(over="ignore", invalid="ignore"):
-                residual = np.linalg.norm((x - x_at_t0) - u)
+                residual = np.linalg.norm((x - x_start) - u)
                 rel = residual / max(np.linalg.norm(x), 1e-30)
             if np.isfinite(rel):
                 rec.max_residual = max(rec.max_residual, rel)
-            state = amplify(RunState(x=x, u=u, t0=t0, t=t, P=P), cfg.eta)
-            x, u, t0 = state.x, state.u, state.t0
-            x_at_t0 = x.copy()
+            amplify(x, u, cfg.eta)
+            x_start[:] = x
         if not np.isfinite(x).all():
             return rec.finish(x, t)
     return rec.final(x)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import fedamp as fa
-from fedamp.engine import RunState
 
 
 def single_client_pop(L=1.0, center=0.0):
@@ -43,37 +42,40 @@ class TestRecursion:
     def test_matches_straight_line_transcription(self, rotate, kind):
         # independent re-implementation of one amplified run, bit for bit,
         # client by client on fresh substreams; diagonal curvature takes the
-        # engine's batched kernel, rotated curvature its per-client path
+        # engine's batched kernel, rotated curvature its per-client path.
+        # T = 14 ends in a partial interval, which is never amplified.
         pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.8, seed=21,
                                  rotate=rotate)
         noise = fa.NoiseModel(kind, 0.5)
-        sched = fa.generate_schedule(fa.PatternSpec("permutation", S=2), 4, 12,
-                                     seed=3)
-        gamma, eta, I, P, T = 0.05, 3.0, 2, 4, 12
+        gamma, eta, I, P = 0.05, 3.0, 2, 4
         x0 = np.array([1.0, -0.5, 0.25])
         seed = 77
 
-        x = x0.copy()
-        u = np.zeros(3)
-        for t in range(T):
-            q = sched.weights[t]
-            step = np.zeros(3)
-            for n in np.nonzero(q)[0]:
-                rng = fa.substream(seed, "local", t, int(n))
-                y = x.copy()
-                for _ in range(I):
-                    y -= gamma * (pop.grad(n, y) + noise.sample(rng, 3))
-                step += q[n] * (y - x)
-            x = x + step
-            u = u + step
-            if (t + 1) % P == 0:
-                x = x + (eta - 1.0) * u
-                u = np.zeros(3)
+        for T in (12, 14):
+            sched = fa.generate_schedule(fa.PatternSpec("permutation", S=2), 4, T,
+                                         seed=3)
+            x = x0.copy()
+            u = np.zeros(3)
+            for t in range(T):
+                q = sched.weights[t]
+                step = np.zeros(3)
+                for n in np.nonzero(q)[0]:
+                    rng = fa.substream(seed, "local", t, int(n))
+                    y = x.copy()
+                    for _ in range(I):
+                        y -= gamma * (pop.grad(n, y) + noise.sample(rng, 3))
+                    step += q[n] * (y - x)
+                x = x + step
+                u = u + step
+                if (t + 1) % P == 0:
+                    x = x + (eta - 1.0) * u
+                    u = np.zeros(3)
 
-        cfg = fa.RunConfig(gamma=gamma, eta=eta, local_steps=I,
-                           amplify_every=P, rounds=T, x0=x0)
-        tr = fa.run(pop, noise, sched, cfg, seed=seed)
-        np.testing.assert_array_equal(tr.x_final, x)
+            cfg = fa.RunConfig(gamma=gamma, eta=eta, local_steps=I,
+                               amplify_every=P, rounds=T, x0=x0)
+            tr = fa.run(pop, noise, sched, cfg, seed=seed)
+            np.testing.assert_array_equal(tr.x_final, x)
+            assert tr.is_boundary[-1] == (T % P == 0)
 
     def test_descent_without_noise(self):
         pop = fa.build_quadratic(N=6, m=4, L=2.0, spread=0.5, seed=22)
@@ -88,23 +90,17 @@ class TestRecursion:
 
 class TestAmplification:
     def test_identity_at_boundary(self):
-        # u = 0.5 accumulated from x_t0 = 0: eta = 10 lands at eta * u
-        state = RunState(x=np.array([0.5]), u=np.array([0.5]), t0=0, t=3, P=4)
-        out = fa.amplify(state, 10.0)
-        assert out.x[0] == pytest.approx(5.0)
-        assert out.u[0] == 0.0
-        assert out.t0 == 4
+        # u = 0.5 accumulated from x = 0: eta = 10 lands at eta * u, in place
+        x, u = np.array([0.5]), np.array([0.5])
+        fa.amplify(x, u, 10.0)
+        assert x[0] == pytest.approx(5.0)
+        assert u[0] == 0.0
 
     def test_eta_one_is_noop_bitwise(self):
-        state = RunState(x=np.array([0.3, 0.7]), u=np.array([0.1, -0.1]),
-                         t0=2, t=5, P=4)
-        out = fa.amplify(state, 1.0)
-        np.testing.assert_array_equal(out.x, state.x)
-
-    def test_off_boundary_raises(self):
-        state = RunState(x=np.zeros(1), u=np.zeros(1), t0=0, t=1, P=4)
-        with pytest.raises(ValueError):
-            fa.amplify(state, 2.0)
+        x, u = np.array([0.3, 0.7]), np.array([0.1, -0.1])
+        fa.amplify(x, u, 1.0)
+        np.testing.assert_array_equal(x, [0.3, 0.7])
+        assert not u.any()
 
     def test_boundary_residual_tracks_accumulator(self):
         pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=23)
@@ -210,6 +206,16 @@ class TestTraceAndValidation:
         with pytest.raises(ValueError):
             fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
                          rounds=4, x0=x0, mode="mystery").validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("minibatch", 0), ("minibatch", -1), ("eval_every", -3)])
+    def test_out_of_domain_optional_rejected(self, field, value):
+        # None, and eval_every = 0, keep their meaning (full gradient, every P)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(2), eval_every=0)
+        cfg.validate()
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value}).validate()
 
     def test_minibatch_on_quadratic_rejected(self):
         # only populations with minibatch gradients take a minibatch size

@@ -141,11 +141,13 @@ class TestCliRun:
             assert line.endswith(f" fallback_rounds={sched.fallback_rounds}")
 
     def test_bad_gamma_exit_1(self, cfg_file, tmp_path, capsys):
-        code = main(["run", "--config", cfg_file, "--out",
-                     str(tmp_path / "x"), "--set", "run.gamma=-1"])
-        assert code == 1
-        assert "gamma" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()    # no empty output directory
+        for gamma in ("-1", "0", "nan"):
+            out = tmp_path / f"x{gamma}"
+            code = main(["run", "--config", cfg_file, "--out", str(out),
+                         "--set", f"run.gamma={gamma}"])
+            assert code == 1, gamma
+            assert "gamma must be positive" in capsys.readouterr().err
+            assert not out.exists()    # no empty output directory
 
     def test_bad_planner_input_exit_1(self, cfg_file, tmp_path, capsys):
         code = main(["run", "--config", cfg_file, "--out", str(tmp_path / "x"),
@@ -417,10 +419,27 @@ class TestCliDiagnose:
             assert [row[k] for k in ("beta2", "nu2", "delta2", "d2")] == \
                 [f"{v:.17g}" for v in (rep.beta2, rep.nu2, rep.delta2, rep.d2)]
 
+    def test_sampled_quadratic_rows_are_exact(self, cfg_file, tmp_path):
+        # a quadratic's offsets do not depend on x: far sample points must
+        # not lose them to cancellation between gradients of size ~L|x|
+        tables = []
+        for points in (0, 3):
+            out = tmp_path / f"d{points}"
+            assert main(["diagnose", "--config", cfg_file, "--out", str(out),
+                         "--set", f"diagnose.points={points}",
+                         "--set", "run.x0_scale=1e17"]) == 0
+            with open(out / "divergence.csv") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        exact, sampled = tables
+        assert [r.pop("exact") for r in exact] == ["1"] * len(exact)
+        assert [r.pop("exact") for r in sampled] == ["0"] * len(sampled)
+        assert sampled == exact
+
     def test_non_finite_constants_exit_2(self, cfg_file, tmp_path, capsys):
-        # client gradients at |x| ~ 1e300 overflow when squared
+        # logistic client gradients at |x| ~ 1e300 overflow when squared
         out = tmp_path / "d"
         code = main(["diagnose", "--config", cfg_file, "--out", str(out),
+                     "--set", "population.kind=logistic",
                      "--set", "diagnose.points=2", "--set", "run.x0_scale=1e300"])
         assert code == 2
         err = capsys.readouterr().err

@@ -19,7 +19,6 @@ import fedamp as fa
 from fedamp import cli, participation
 from fedamp.analysis import _round_quantities
 from fedamp.config import SCHEMA, _bool, _fmt, _gap, _int_list, _offset
-from fedamp.engine import RunState
 
 # values k/1000 for |k| <= 10^6: wide range, no subnormal squares
 VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
@@ -111,26 +110,29 @@ def test_validate_raises_under_python_O():
 
 
 @st.composite
-def boundary_states(draw):
+def boundary_arrays(draw):
+    """x and the accumulated update u at an interval boundary."""
     m = draw(st.integers(1, 6))
-    P = draw(st.integers(1, 8))
-    t0 = P * draw(st.integers(0, 4))
-    x, u = (draw(hnp.arrays(np.float64, m, elements=VALUES)) for _ in range(2))
-    return RunState(x=x, u=u, t0=t0, t=t0 + P - 1, P=P)
+    return tuple(draw(hnp.arrays(np.float64, m, elements=VALUES)) for _ in range(2))
 
 
 @settings(max_examples=100, deadline=None)
-@given(boundary_states(), st.floats(1e-3, 20.0))
-def test_amplification_identity(state, eta):
-    out = fa.amplify(state, eta)
-    np.testing.assert_array_equal(out.x, state.x + (eta - 1.0) * state.u)
-    assert not out.u.any() and out.t0 == state.t + 1
+@given(boundary_arrays(), st.floats(1e-3, 20.0))
+def test_amplification_identity(xu, eta):
+    x, u = xu
+    expect = x + (eta - 1.0) * u
+    fa.amplify(x, u, eta)
+    np.testing.assert_array_equal(x, expect)
+    assert not u.any()
 
 
 @settings(max_examples=50, deadline=None)
-@given(boundary_states())
-def test_eta_one_leaves_x_bitwise(state):
-    assert fa.amplify(state, 1.0).x.tobytes() == state.x.tobytes()
+@given(boundary_arrays())
+def test_eta_one_leaves_x_bitwise(xu):
+    x, u = xu
+    before = x.tobytes()
+    fa.amplify(x, u, 1.0)
+    assert x.tobytes() == before
 
 
 # per parser, every value it can produce from text; a key's declared
