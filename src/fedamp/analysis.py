@@ -102,15 +102,16 @@ def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
 
 
 def sample_offsets(pop, points: np.ndarray) -> np.ndarray:
-    """Client offsets grad F_n(x) - grad f(x) at each sample point x, shape
-    (k, N, m): N gradients a point.  A shared-curvature quadratic's offsets
-    do not depend on x, so they are taken exactly, free of the cancellation
-    that gradients of size ~L|x| would suffer far from the optimum."""
+    """Client offsets grad F_n(x) - grad f(x) at each of k sample points x,
+    shape (k, N, m): N gradients a point.  A shared-curvature quadratic's
+    offsets do not depend on x, so they are taken once, exactly, shape
+    (1, N, m), free of the cancellation that gradients of size ~L|x| would
+    suffer far from the optimum."""
     points = np.atleast_2d(points)
     if points.size == 0:
         raise ValueError("empty sample set")
     if isinstance(pop, QuadraticPopulation):
-        return np.broadcast_to(pop.gradient_offsets(), (len(points), pop.N, pop.m))
+        return pop.gradient_offsets()[None]
     grads = np.stack([[pop.grad(n, x) for n in range(pop.N)] for x in points])
     return grads - grads.mean(axis=1, keepdims=True)
 
@@ -360,13 +361,12 @@ class SlopeFit:
     excluded: list = field(default_factory=list)
 
 
-def fit_convergence_slope(T_values, min_grad_norms, diverged=None) -> SlopeFit:
-    """OLS of log(min ||grad f||^2) against log T."""
+def fit_convergence_slope(T_values, min_grad_norms) -> SlopeFit:
+    """OLS of log(min ||grad f||^2) against log T over the finite positive
+    values; `excluded` lists the T of the others."""
     T_values = np.asarray(T_values, dtype=float)
     y = np.asarray(min_grad_norms, dtype=float)
     mask = np.isfinite(y) & (y > 0)
-    if diverged is not None:
-        mask &= ~np.asarray(diverged, dtype=bool)
     excluded = T_values[~mask].tolist()
     if mask.sum() < 3:
         raise ValueError("need at least 3 usable (T, value) points")

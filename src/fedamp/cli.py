@@ -334,7 +334,8 @@ DEMO = dict(N=50, m=32, L=1.0, G=5, B=20, S=5, I=5, T=2000, sigma=1.0,
 
 
 def paperdemo_arms(master: int, seed_index: int, P: int | None = None):
-    """One seed's four-arm comparison; returns {arm: final min ||grad f||^2}."""
+    """One seed's four-arm comparison; returns (finals, traces), two dicts
+    keyed by arm: the final min ||grad f||^2 and the trace of each arm."""
     d = DEMO
     P = P if P is not None else d["G"] * d["B"]
     lam = np.linspace(0.25, 1.0, d["m"])

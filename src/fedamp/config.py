@@ -60,11 +60,12 @@ def _fmt(value) -> str:
 
 PLANNERS = {"cor3.2": plan_rates_adaptive, "cor3.3": plan_rates_fixed_amp}
 
-# (section, key) -> (parser, default, domain).  A None default means the
-# key is required when its section is active; sections themselves are
-# optional unless the subcommand needs them.  The domain is None (every
-# parsed value), a tuple of choices, or a lower bound (a float must also
-# be finite); _parse_value applies it to file values and overrides alike.
+# (section, key) -> (parser, default, domain), section by section in the
+# order `serialize` writes them.  A None default means the key is required
+# when its section is active; sections themselves are optional unless the
+# subcommand needs them.  The domain is None (every parsed value), a tuple
+# of choices, or a lower bound (a float must also be finite); _parse_value
+# applies it to file values and overrides alike.
 SCHEMA = {
     ("population", "kind"): (str, "quadratic", ("quadratic", "logistic")),
     ("population", "N"): (int, None, None),
@@ -117,9 +118,6 @@ SCHEMA = {
     ("output", "dir"): (str, "out", None),
 }
 
-_SECTION_ORDER = ["population", "pattern", "run", "sweep", "bounds",
-                  "diagnose", "seeds", "output"]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -136,20 +134,13 @@ class ExperimentConfig:
         return default
 
     def serialize(self) -> str:
-        lines = []
-        for section in _SECTION_ORDER:
-            keys = [(s, k) for (s, k) in self.values if s == section]
-            if not keys:
-                continue
-            lines.append(f"[{section}]")
-            for s, k in sorted(keys, key=lambda sk: _schema_index(sk)):
-                lines.append(f"{k} = {_fmt(self.values[(s, k)])}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def _schema_index(sk):
-    return list(SCHEMA).index(sk)
+        """The set keys as config text, sections and keys in SCHEMA order."""
+        sections = {}
+        for s, k in SCHEMA:
+            if (s, k) in self.values:
+                sections.setdefault(s, [f"[{s}]"]).append(
+                    f"{k} = {_fmt(self.values[(s, k)])}")
+        return "\n".join(line for body in sections.values() for line in body + [""])
 
 
 def _parse_value(section: str, key: str, raw: str, source: str = ""):
@@ -182,8 +173,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     values = {}
+    known = {s for s, _ in SCHEMA}
     for section in cp.sections():
-        if section not in _SECTION_ORDER:
+        if section not in known:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in cp.items(section):
             values[(section, key)] = _parse_value(section, key, raw)

@@ -93,17 +93,6 @@ class Trace:
     def final_min_grad_norm_sq(self) -> float:
         return float(self.min_grad_norm_sq[-1])
 
-    def to_csv(self, path):
-        import csv
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "f", "grad_norm_sq", "min_grad_norm_sq", "is_boundary"])
-            for i in range(len(self.t)):
-                w.writerow([int(self.t[i]), f"{self.f[i]:.17g}",
-                            f"{self.grad_norm_sq[i]:.17g}",
-                            f"{self.min_grad_norm_sq[i]:.17g}",
-                            int(self.is_boundary[i])])
-
 
 def checkpoint_eval(pop, x: np.ndarray) -> tuple[float, float]:
     """Exact full-batch (f(x), ||grad f(x)||^2)."""
@@ -190,8 +179,7 @@ class _Recorder:
                      "mode": cfg.mode, "gamma": cfg.gamma, "eta": cfg.eta,
                      "I": cfg.local_steps, "P": P, "T": T,
                      "rho": math.sqrt(report.rho2)}
-        self.t, self.f, self.g2, self.mg2, self.bnd = [], [], [], [], []
-        self.running_min = np.inf
+        self.t, self.f, self.g2 = [], [], []
         self.max_residual = 0.0
 
     def checkpoint(self, t, x) -> bool:
@@ -204,18 +192,16 @@ class _Recorder:
         self.t.append(t)
         self.f.append(fval)
         self.g2.append(g2)
-        if np.isfinite(g2):
-            self.running_min = min(self.running_min, g2)
-        self.mg2.append(self.running_min)
-        self.bnd.append(t % self.P == 0)
         return bool(np.isfinite(fval) and np.isfinite(g2))
 
     def finish(self, x, diverged_round=None) -> Trace:
-        """The trace; a divergence exit passes the round it happened in."""
-        return Trace(t=np.array(self.t), f=np.array(self.f),
-                     grad_norm_sq=np.array(self.g2),
-                     min_grad_norm_sq=np.array(self.mg2),
-                     is_boundary=np.array(self.bnd, dtype=bool),
+        """The trace; a divergence exit passes the round it happened in.
+        The running minimum of ||grad f||^2 skips non-finite values."""
+        t, g2 = np.array(self.t), np.array(self.g2)
+        return Trace(t=t, f=np.array(self.f), grad_norm_sq=g2,
+                     min_grad_norm_sq=np.minimum.accumulate(
+                         np.where(np.isfinite(g2), g2, np.inf)),
+                     is_boundary=t % self.P == 0,
                      x_final=np.nan_to_num(x),  # x is finite but at a non-finite exit
                      meta=self.meta, diverged_round=diverged_round,
                      max_boundary_residual=self.max_residual)

@@ -73,18 +73,43 @@ class QuadraticPopulation:
 
     Because the curvature is shared, per-client gradients differ from the
     global gradient by the constant vector A(c_bar - c_n), which makes all
-    divergence constants exact.
+    divergence constants exact.  A and the centers are the whole input;
+    the constants are derived from them at construction.
     """
 
     A: np.ndarray                 # (m, m) symmetric PSD
     centers: np.ndarray           # (N, m)
-    diag: np.ndarray | None = None  # eigenvalues when A is diagonal (fast path)
-    # derived, filled by the builder
-    center_mean: np.ndarray = field(default=None)
-    x_star: np.ndarray = field(default=None)
-    f_star: float = 0.0
-    lipschitz: float = 0.0
-    d2: float = 0.0
+    # A's diagonal when A is diagonal (elementwise kernels), else None
+    diag: np.ndarray | None = field(init=False)
+    x_star: np.ndarray = field(init=False)    # the center mean
+    f_star: float = field(init=False)
+    lipschitz: float = field(init=False)
+    d2: float = field(init=False)             # max_n ||grad F_n - grad f||^2
+
+    def __post_init__(self):
+        A, centers = self.A, self.centers
+        if centers.ndim != 2 or min(centers.shape) < 1:
+            raise ValueError(f"centers must have shape (N, m) with N, m >= 1, "
+                             f"got {centers.shape}")
+        N, m = centers.shape
+        if A.shape != (m, m):
+            raise ValueError(f"A must have shape ({m}, {m}), got {A.shape}")
+        diag = A.diagonal().copy()
+        if np.count_nonzero(A) != np.count_nonzero(diag):  # an off-diagonal entry
+            diag = None
+        cbar = centers.mean(axis=0)
+        dev = centers - cbar[None, :]
+        if diag is not None:
+            lip = float(np.max(diag))
+            fstar = 0.5 * float(np.sum(dev**2 * diag[None, :])) / N
+        else:
+            lip = float(np.linalg.eigvalsh(A)[-1])
+            fstar = 0.5 * float(np.einsum("nm,mk,nk->", dev, A, dev)) / N
+        for name, value in (("diag", diag), ("x_star", cbar), ("f_star", fstar),
+                            ("lipschitz", lip)):
+            object.__setattr__(self, name, value)
+        offsets = self.gradient_offsets()
+        object.__setattr__(self, "d2", float(np.max(np.sum(offsets**2, axis=1))))
 
     @property
     def N(self) -> int:
@@ -121,18 +146,18 @@ class QuadraticPopulation:
         # mean of A(x - c_n) collapses to A(x - c_bar)
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite evaluation point")
-        return self._apply_A(x - self.center_mean)
+        return self._apply_A(x - self.x_star)
 
     def global_value(self, x: np.ndarray) -> float:
         # bias-variance split: mean client value = value at c_bar plus f*
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite evaluation point")
-        d = x - self.center_mean
+        d = x - self.x_star
         return 0.5 * float(d @ self._apply_A(d)) + self.f_star
 
     def gradient_offsets(self) -> np.ndarray:
         """Constant per-client offsets grad F_n(x) - grad f(x), shape (N, m)."""
-        diff = self.center_mean[None, :] - self.centers
+        diff = self.x_star[None, :] - self.centers
         if self.diag is not None:
             return diff * self.diag[None, :]
         return diff @ self.A.T
@@ -140,23 +165,6 @@ class QuadraticPopulation:
     def stochastic_grad(self, noise: NoiseModel, n: int, x: np.ndarray,
                         rng: np.random.Generator) -> np.ndarray:
         return self.grad(n, x) + noise.sample(rng, self.centers.shape[1])
-
-
-def _derived_constants(A, centers, diag):
-    cbar = centers.mean(axis=0)
-    if diag is not None:
-        offsets = (cbar[None, :] - centers) * diag[None, :]
-        lip = float(np.max(diag))
-    else:
-        offsets = (cbar[None, :] - centers) @ A.T
-        lip = float(np.linalg.eigvalsh(A)[-1])
-    d2 = float(np.max(np.sum(offsets**2, axis=1))) if centers.shape[0] else 0.0
-    dev = centers - cbar[None, :]
-    if diag is not None:
-        fstar = 0.5 * float(np.sum(dev**2 * diag[None, :])) / centers.shape[0]
-    else:
-        fstar = 0.5 * float(np.einsum("nm,mk,nk->", dev, A, dev)) / centers.shape[0]
-    return cbar, lip, d2, fstar
 
 
 def build_quadratic(N: int, m: int, L: float, spread: float, seed: int,
@@ -187,22 +195,16 @@ def build_quadratic(N: int, m: int, L: float, spread: float, seed: int,
             raise ValueError("eigenvalues must be m nonnegative finite values")
         lam = lam * (L / np.max(lam))
 
-    diag = None
     if rotate and m > 1:
         Q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         A = (Q * lam[None, :]) @ Q.T
         A = 0.5 * (A + A.T)
     else:
         A = np.diag(lam)
-        diag = lam.copy()
 
     centers = spread * rng.normal(size=(N, m))
     centers = centers - centers.mean(axis=0, keepdims=True)
-
-    cbar, lip, d2, fstar = _derived_constants(A, centers, diag)
-    return QuadraticPopulation(A=A, centers=centers, diag=diag,
-                               center_mean=cbar, x_star=cbar.copy(),
-                               f_star=fstar, lipschitz=lip, d2=d2)
+    return QuadraticPopulation(A=A, centers=centers)
 
 
 @dataclass(frozen=True)

@@ -214,10 +214,9 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
         rounds_per_perm = max(group_size // spec.S, 1)
         pos_in_block = (np.arange(T) + offset) % spec.B
         for t in range(T):
+            # a permutation serves at most rounds_per_perm rounds, so it
+            # never runs short of S clients
             if t == 0 or pos_in_block[t] % rounds_per_perm == 0:
-                perm = rng.permutation(group_size)
-                cursor = 0
-            if cursor + spec.S > group_size:
                 perm = rng.permutation(group_size)
                 cursor = 0
             chosen = group[t] * group_size + perm[cursor:cursor + spec.S]

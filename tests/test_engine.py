@@ -9,11 +9,7 @@ import fedamp as fa
 
 
 def single_client_pop(L=1.0, center=0.0):
-    pop = fa.build_quadratic(N=1, m=1, L=L, spread=0.0, seed=0, rotate=False)
-    return pop.__class__(A=pop.A, centers=np.array([[center]]), diag=pop.diag,
-                         center_mean=np.array([center]),
-                         x_star=np.array([center]), f_star=0.0,
-                         lipschitz=L, d2=0.0)
+    return fa.QuadraticPopulation(A=np.array([[L]]), centers=np.array([[center]]))
 
 
 def full_schedule(N, T):
@@ -143,24 +139,34 @@ class TestDeterminism:
 
     def test_simulate_all_ignores_overflowing_idle_client(self):
         # client 3 has weight 0 and a center so far out that its local steps
-        # overflow; simulating it must not turn 0 * inf into NaN.  The
-        # derived constants stay those of the unmodified population.
-        base = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=25,
-                                  rotate=False)
-        centers = base.centers.copy()
-        centers[3] = 1e306
-        pop = dataclasses.replace(base, centers=centers)
-        T = 4
+        # overflow to NaN; simulating it must not let 0 * NaN reach x.
+        # Along the first axis (curvature 1) a step is y <- 3c - 2y, which
+        # the active clients (c = 0) leave at 0 and client 3 (c = 1e154)
+        # doubles until it overflows; the other axes contract.  Every
+        # constant of the population, and f and grad f at the checkpoints,
+        # stay finite.
+        A = np.diag([1.0, 0.5, 0.5])
+        centers = np.array([[0.0, 0.5, -0.2], [0.0, -0.3, 0.4],
+                            [0.0, -0.2, -0.2], [1e154, 0.0, 0.0]])
+        pop = fa.QuadraticPopulation(A=A, centers=centers)
+        T, steps, x0 = 4, 520, np.array([0.0, 1.0, 1.0])
+        y = x0.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(steps):
+                y -= 3.0 * pop.grad(3, y)
+        assert np.isnan(y[0])
         weights = np.tile([1 / 3, 1 / 3, 1 / 3, 0.0], (T, 1))
         sched = fa.WeightSchedule(weights=weights, pattern="fixed", seed=0)
-        cfg = fa.RunConfig(gamma=3.0, eta=1.0, local_steps=10, amplify_every=1,
-                           rounds=T, x0=np.ones(3), eval_every=1)
-        noise = fa.NoiseModel("gaussian", 0.1)
-        skip = fa.run(pop, noise, sched, cfg, seed=4)
+        cfg = fa.RunConfig(gamma=3.0, eta=1.0, local_steps=steps, amplify_every=1,
+                           rounds=T, x0=x0, eval_every=1)
+        skip = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=4)
         with np.errstate(over="ignore", invalid="ignore"):
-            everyone = fa.run(pop, noise, sched, cfg, seed=4, simulate_all=True)
+            everyone = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=4,
+                              simulate_all=True)
+        assert all(np.isfinite([pop.f_star, pop.d2, pop.lipschitz]))
         assert not skip.diverged
         assert not everyone.diverged, everyone.diverged_round
+        assert np.isfinite(skip.f).all() and np.isfinite(skip.grad_norm_sq).all()
         np.testing.assert_array_equal(everyone.x_final, skip.x_final)
 
     def test_repeat_run_identical(self):
@@ -191,6 +197,19 @@ class TestTraceAndValidation:
         tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 500), cfg, seed=0)
         assert tr.diverged
         assert tr.diverged_round is not None
+
+    def test_running_min_skips_a_non_finite_last_checkpoint(self):
+        # x <- -9x each round: ||grad f||^2 = x^2 overflows at t = 162 while
+        # x is still finite, so that checkpoint is written and the run stops
+        pop = single_client_pop()
+        cfg = fa.RunConfig(gamma=10.0, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=500, x0=np.array([1.0]), eval_every=1)
+        with np.errstate(over="ignore"):
+            tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 500), cfg, seed=0)
+        assert tr.diverged_round == tr.t[-1]
+        assert np.isinf(tr.grad_norm_sq[-1]) and np.isfinite(tr.grad_norm_sq[:-1]).all()
+        np.testing.assert_array_equal(tr.min_grad_norm_sq, np.ones(len(tr.t)))
+        assert tr.final_min_grad_norm_sq == 1.0
 
     def test_config_validation(self):
         x0 = np.ones(2)
@@ -278,19 +297,6 @@ class TestTraceAndValidation:
         with pytest.raises(ValueError, match="schedule covers 4 rounds"):
             fa.run_wait_baseline(pop, fa.NoiseModel(), full_schedule(2, 4),
                                  cfg, seed=0)
-
-    def test_csv_export(self, tmp_path):
-        pop = single_client_pop()
-        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,
-                           rounds=4, x0=np.array([1.0]))
-        tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 4), cfg, seed=0)
-        path = tmp_path / "m.csv"
-        tr.to_csv(path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "t,f,grad_norm_sq,min_grad_norm_sq,is_boundary"
-        assert len(rows) == len(tr.t) + 1
-        # 17 significant digits survive the round trip
-        assert float(rows[1].split(",")[1]) == tr.f[0]
 
 
 class TestWaitBaselines:

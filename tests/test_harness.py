@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fedamp as fa
-from fedamp import cli
+from fedamp import analysis, cli
 from fedamp.cli import main, paperdemo_arms
 from fedamp.config import (SCHEMA, _fmt, _parse_value, build_pattern,
                            build_population, build_schedule)
@@ -434,6 +434,18 @@ class TestCliDiagnose:
         assert [r.pop("exact") for r in exact] == ["1"] * len(exact)
         assert [r.pop("exact") for r in sampled] == ["0"] * len(sampled)
         assert sampled == exact
+
+    def test_sampled_quadratic_reduces_once_per_P(self, cfg_file, tmp_path,
+                                                  monkeypatch):
+        # the offsets of every point are the same rows: one reduction per P
+        calls = []
+        real = analysis._round_quantities
+        monkeypatch.setattr(analysis, "_round_quantities",
+                            lambda *a: calls.append(a) or real(*a))
+        assert main(["diagnose", "--config", cfg_file, "--out", str(tmp_path / "d"),
+                     "--set", "diagnose.points=16",
+                     "--set", "diagnose.P_list=1 2 4 8"]) == 0
+        assert len(calls) == 4
 
     def test_non_finite_constants_exit_2(self, cfg_file, tmp_path, capsys):
         # logistic client gradients at |x| ~ 1e300 overflow when squared

@@ -1,5 +1,6 @@
 """Objective populations: exact constants against brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -95,6 +96,80 @@ class TestQuadratic:
                                     np.zeros(3), fa.substream(0))
         with pytest.raises(ValueError):
             pop.global_grad(np.array([np.nan, 0.0, 0.0]))
+
+
+def reference_constants(A, centers, diag):
+    """(x*, L, d2, f*) by the expressions the builder used before the
+    population derived them itself."""
+    cbar = centers.mean(axis=0)
+    if diag is not None:
+        offsets = (cbar[None, :] - centers) * diag[None, :]
+        lip = float(np.max(diag))
+    else:
+        offsets = (cbar[None, :] - centers) @ A.T
+        lip = float(np.linalg.eigvalsh(A)[-1])
+    d2 = float(np.max(np.sum(offsets**2, axis=1)))
+    dev = centers - cbar[None, :]
+    if diag is not None:
+        fstar = 0.5 * float(np.sum(dev**2 * diag[None, :])) / centers.shape[0]
+    else:
+        fstar = 0.5 * float(np.einsum("nm,mk,nk->", dev, A, dev)) / centers.shape[0]
+    return cbar, lip, d2, fstar
+
+
+class TestHandBuilt:
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_constants_equal_the_builders(self, rotate):
+        built = fa.build_quadratic(N=5, m=4, L=2.0, spread=0.7, seed=12,
+                                   rotate=rotate)
+        pop = fa.QuadraticPopulation(A=built.A.copy(), centers=built.centers.copy())
+        assert (pop.diag is None) == rotate
+        if not rotate:
+            assert pop.diag.tobytes() == built.diag.tobytes()
+            assert pop.diag.tobytes() == np.diagonal(pop.A).tobytes()
+        cbar, lip, d2, fstar = reference_constants(pop.A, pop.centers, pop.diag)
+        for p in (pop, built):
+            assert p.x_star.tobytes() == cbar.tobytes()
+            assert (p.lipschitz, p.d2, p.f_star) == (lip, d2, fstar)
+
+    @pytest.mark.parametrize("A", [np.diag([1.0, 0.5]),
+                                   np.array([[1.0, 0.25], [0.25, 0.5]])])
+    def test_hand_built_population_runs(self, A):
+        C = np.array([[1.0, -1.0], [-0.5, 0.0], [0.5, 2.0]])
+        pop = fa.QuadraticPopulation(A=A, centers=C)
+        np.testing.assert_array_equal(pop.x_star, C.mean(axis=0))
+        assert pop.lipschitz == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
+        sched = fa.generate_schedule(fa.PatternSpec("independent", S=2), 3, 8, seed=1)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.5, local_steps=2, amplify_every=2,
+                           rounds=8, x0=pop.x_star + 1.0)
+        tr = fa.run(pop, fa.NoiseModel("gaussian", 0.1), sched, cfg, seed=3)
+        assert not tr.diverged and np.isfinite(tr.f).all()
+        assert (tr.f >= pop.f_star).all()
+        fa.divergence_exact(pop, sched, 2).validate()
+        plan = fa.plan_rates_adaptive(pop.lipschitz, 1.0, 0.1, fa.rho_bound(sched),
+                                      2, 2, 8)
+        assert plan.gamma > 0
+
+    def test_replace_derives_constants_again(self):
+        pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=13, rotate=False)
+        moved = dataclasses.replace(pop, centers=pop.centers + 5.0)
+        np.testing.assert_allclose(moved.x_star, pop.x_star + 5.0, atol=1e-12)
+        assert moved.d2 == pytest.approx(pop.d2, rel=1e-12)
+        assert moved.f_star == pytest.approx(pop.f_star, rel=1e-12)
+        assert np.linalg.norm(moved.global_grad(moved.x_star)) < 1e-12
+        with pytest.raises(ValueError):
+            dataclasses.replace(pop, x_star=np.zeros(3))
+
+    @pytest.mark.parametrize("A, centers", [
+        (np.eye(3), np.zeros((4, 2))),          # A is m+1 square
+        (np.eye(2)[:, :1], np.zeros((4, 2))),   # A not square
+        (np.eye(2), np.zeros(2)),               # centers not (N, m)
+        (np.eye(2), np.zeros((0, 2))),          # N = 0
+        (np.eye(0), np.zeros((3, 0))),          # m = 0
+    ])
+    def test_misshaped_input_raises(self, A, centers):
+        with pytest.raises(ValueError):
+            fa.QuadraticPopulation(A=A, centers=centers)
 
 
 class TestNoise:

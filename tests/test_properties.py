@@ -352,6 +352,52 @@ def test_markov_matches_round_loop_at_block_size():
     assert sched.fallback_rounds == fallback
 
 
+def periodic_reference(rng, spec, N, T):
+    """The periodic generator as it was with a second reset, taken when a
+    permutation has fewer than S clients left."""
+    weights = np.zeros((T, N))
+    cycle = spec.G * spec.B
+    group_size = N // spec.G
+    offset = spec.offset if isinstance(spec.offset, int) else int(rng.integers(cycle))
+    group = ((np.arange(T) + offset) // spec.B) % spec.G
+    rounds_per_perm = max(group_size // spec.S, 1)
+    pos_in_block = (np.arange(T) + offset) % spec.B
+    for t in range(T):
+        if t == 0 or pos_in_block[t] % rounds_per_perm == 0:
+            perm = rng.permutation(group_size)
+            cursor = 0
+        if cursor + spec.S > group_size:
+            perm = rng.permutation(group_size)
+            cursor = 0
+        chosen = group[t] * group_size + perm[cursor:cursor + spec.S]
+        cursor += spec.S
+        weights[t, chosen] = 1.0 / spec.S
+    return weights
+
+
+@st.composite
+def periodic_cases(draw):
+    N = draw(st.integers(1, 40))
+    G = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    B = draw(st.integers(1, 8))
+    spec = fa.PatternSpec("periodic", S=draw(st.integers(1, N // G)), G=G, B=B,
+                          offset=draw(st.one_of(st.just("random"),
+                                                st.integers(0, G * B - 1))))
+    return spec, N, draw(st.integers(1, 80)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(periodic_cases())
+def test_periodic_matches_loop_with_second_reset(case):
+    # one permutation serves at most rounds_per_perm <= group_size // S
+    # rounds, so the second reset never fires
+    spec, N, T, seed = case
+    sched = fa.generate_schedule(spec, N, T, seed)
+    ref = periodic_reference(fa.substream(seed, "schedule"), spec, N, T)
+    assert sched.weights.tobytes() == ref.tobytes()
+    event(f"a permutation serves several rounds: {N // spec.G // spec.S > 1}")
+
+
 @st.composite
 def patterns(draw):
     """A pattern of each of the five kinds with valid random parameters."""
