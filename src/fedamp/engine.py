@@ -161,9 +161,9 @@ class _LocalSteps:
         return Y
 
 
-class _Recorder:
-    """What both round loops share: the input checks, the meta dict, the
-    checkpoint rows, and the trace at a divergence exit or the end."""
+class _Rounds:
+    """The one round loop of every mode: the input checks, the meta dict,
+    the checkpoint rows, the divergence exit and the trace."""
 
     def __init__(self, pop, schedule: WeightSchedule, cfg: RunConfig, seed: int):
         cfg.validate(pop)
@@ -194,9 +194,19 @@ class _Recorder:
         self.g2.append(g2)
         return bool(np.isfinite(fval) and np.isfinite(g2))
 
-    def finish(self, x, diverged_round=None) -> Trace:
-        """The trace; a divergence exit passes the round it happened in.
-        The running minimum of ||grad f||^2 skips non-finite values."""
+    def loop(self, x, update) -> Trace:
+        """Run rounds 0..T-1 on x, then checkpoint round T.  `update(t, x)`
+        changes x in place and returns False if x went non-finite; the run
+        stops at the first round whose checkpoint overflowed or whose update
+        failed.  The running minimum of ||grad f||^2 skips non-finite values."""
+        diverged_round = None
+        for t in range(self.T):
+            if not (self.checkpoint(t, x) and update(t, x)):
+                diverged_round = t
+                break
+        else:
+            if not self.checkpoint(self.T, x):
+                diverged_round = self.T
         t, g2 = np.array(self.t), np.array(self.g2)
         return Trace(t=t, f=np.array(self.f), grad_norm_sq=g2,
                      min_grad_norm_sq=np.minimum.accumulate(
@@ -205,9 +215,6 @@ class _Recorder:
                      x_final=np.nan_to_num(x),  # x is finite but at a non-finite exit
                      meta=self.meta, diverged_round=diverged_round,
                      max_boundary_residual=self.max_residual)
-
-    def final(self, x) -> Trace:
-        return self.finish(x, None if self.checkpoint(self.T, x) else self.T)
 
 
 def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
@@ -219,20 +226,17 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     """
     if cfg.mode != "generalized":
         return run_wait_baseline(pop, noise, schedule, cfg, seed)
-    rec = _Recorder(pop, schedule, cfg, seed)
+    rounds = _Rounds(pop, schedule, cfg, seed)
     P, T = cfg.amplify_every, cfg.rounds
-    x = np.array(cfg.x0, dtype=float)
     u = np.zeros(pop.m)
-    x_start = x.copy()    # x at the start of the current interval
+    x_start = np.array(cfg.x0, dtype=float)   # x at the start of the current interval
 
     per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
     rows = pop.N if simulate_all else int(per_round.max(initial=0))
     local = _LocalSteps(pop, noise, cfg, seed, rows)
     everyone = np.arange(pop.N)
 
-    for t in range(T):
-        if not rec.checkpoint(t, x):
-            return rec.finish(x, t)
+    def update(t, x):
         q = schedule.weights[t]
         active = (q > 0).nonzero()[0]
         if simulate_all:
@@ -244,18 +248,18 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
         # column, m = 1, pairwise)
         step = deltas.sum(axis=0)
         x += step
-        u += step
+        np.add(u, step, out=u)
         if (t + 1) % P == 0:
             with np.errstate(over="ignore", invalid="ignore"):
                 residual = np.linalg.norm((x - x_start) - u)
                 rel = residual / max(np.linalg.norm(x), 1e-30)
             if np.isfinite(rel):
-                rec.max_residual = max(rec.max_residual, rel)
+                rounds.max_residual = max(rounds.max_residual, rel)
             amplify(x, u, cfg.eta)
             x_start[:] = x
-        if not np.isfinite(x).all():
-            return rec.finish(x, t)
-    return rec.final(x)
+        return np.isfinite(x).all()
+
+    return rounds.loop(x_start.copy(), update)
 
 
 def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
@@ -267,43 +271,37 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
     (appearance-averaged) gradient at the frozen point.  wait_full uses
     the exact gradient, wait_minibatch averages stochastic draws.
     """
-    rec = _Recorder(pop, schedule, cfg, seed)
+    rounds = _Rounds(pop, schedule, cfg, seed)
     if cfg.mode not in ("wait_minibatch", "wait_full"):
         raise ValueError(f"run_wait_baseline needs a wait mode, got {cfg.mode!r}")
-    P, T = cfg.amplify_every, cfg.rounds
-    x = np.array(cfg.x0, dtype=float)
+    P = cfg.amplify_every
     gen = np.random.Generator(np.random.Philox())
     kw = _grad_kwargs(cfg)
 
-    for t in range(T):
-        if not rec.checkpoint(t, x):
-            return rec.finish(x, t)
-        if (t + 1) % P != 0:
-            continue
+    def update(t, x):
+        if (t + 1) % P:
+            return True
         t_start = t + 1 - P
         window = schedule.weights[t_start:t + 1]
-        appearing = np.nonzero(window.sum(axis=0) > 0)[0]
-        if appearing.size == 0:
-            continue
+        # the window's appearances: client-major, rounds ascending
+        clients, offsets = np.nonzero(window.T)
+        appearing = {}
+        for n, tr in zip(clients.tolist(), (offsets + t_start).tolist()):
+            appearing.setdefault(n, []).append(tr)
+        if not appearing:
+            return True
         step = np.zeros(pop.m)
-        if cfg.mode == "wait_full":
-            for n in appearing.tolist():  # ascending client index
-                step += -cfg.gamma * cfg.local_steps * pop.grad(n, x)
-        else:
-            # one nonzero per window: the appearing clients in ascending
-            # order, each with its rounds in ascending order (every appearing
-            # client has at least one)
-            cols, offs = np.nonzero(window[:, appearing].T)
-            rounds = (offs + t_start).tolist()
-            start = 0
-            for n, end in zip(appearing.tolist(), np.cumsum(np.bincount(cols)).tolist()):
-                acc = np.zeros(pop.m)
-                for tr in rounds[start:end]:
+        for n, rounds_n in appearing.items():  # ascending client index
+            if cfg.mode == "wait_full":
+                g = pop.grad(n, x)
+            else:   # one draw per appearance
+                g = np.zeros(pop.m)
+                for tr in rounds_n:
                     rng = substream(seed, "local", tr, n, reuse=gen)
-                    acc += pop.stochastic_grad(noise, n, x, rng, **kw)
-                step += -cfg.gamma * cfg.local_steps * (acc / (end - start))
-                start = end
-        x = x + step / appearing.size
-        if not np.all(np.isfinite(x)):
-            return rec.finish(x, t)
-    return rec.final(x)
+                    g += pop.stochastic_grad(noise, n, x, rng, **kw)
+                g /= len(rounds_n)
+            step += -cfg.gamma * cfg.local_steps * g
+        x += step / len(appearing)
+        return np.isfinite(x).all()
+
+    return rounds.loop(np.array(cfg.x0, dtype=float), update)

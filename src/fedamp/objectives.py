@@ -74,7 +74,8 @@ class QuadraticPopulation:
     Because the curvature is shared, per-client gradients differ from the
     global gradient by the constant vector A(c_bar - c_n), which makes all
     divergence constants exact.  A and the centers are the whole input;
-    the constants are derived from them at construction.
+    the constants are derived from them at construction.  A must be
+    finite, symmetric and PSD; the population keeps read-only copies.
     """
 
     A: np.ndarray                 # (m, m) symmetric PSD
@@ -87,26 +88,38 @@ class QuadraticPopulation:
     d2: float = field(init=False)             # max_n ||grad F_n - grad f||^2
 
     def __post_init__(self):
-        A, centers = self.A, self.centers
+        # private read-only copies: an edit in place would leave the derived
+        # constants stale
+        A, centers = (np.array(a, dtype=float) for a in (self.A, self.centers))
         if centers.ndim != 2 or min(centers.shape) < 1:
             raise ValueError(f"centers must have shape (N, m) with N, m >= 1, "
                              f"got {centers.shape}")
         N, m = centers.shape
         if A.shape != (m, m):
             raise ValueError(f"A must have shape ({m}, {m}), got {A.shape}")
+        if not (np.isfinite(A).all() and np.isfinite(centers).all()):
+            raise ValueError("A and the centers must be finite")
+        if not np.array_equal(A, A.T):
+            raise ValueError("A must be symmetric")
         diag = A.diagonal().copy()
         if np.count_nonzero(A) != np.count_nonzero(diag):  # an off-diagonal entry
             diag = None
+        eig = np.sort(diag) if diag is not None else np.linalg.eigvalsh(A)
+        lip = float(eig[-1])
+        if eig[0] < -1e-12 * max(lip, 0.0):
+            raise ValueError(f"A must be positive semidefinite, has eigenvalue "
+                             f"{eig[0]:.3g}")
         cbar = centers.mean(axis=0)
         dev = centers - cbar[None, :]
         if diag is not None:
-            lip = float(np.max(diag))
             fstar = 0.5 * float(np.sum(dev**2 * diag[None, :])) / N
         else:
-            lip = float(np.linalg.eigvalsh(A)[-1])
             fstar = 0.5 * float(np.einsum("nm,mk,nk->", dev, A, dev)) / N
-        for name, value in (("diag", diag), ("x_star", cbar), ("f_star", fstar),
-                            ("lipschitz", lip)):
+        for a in (A, centers, diag, cbar):
+            if a is not None:
+                a.setflags(write=False)
+        for name, value in (("A", A), ("centers", centers), ("diag", diag),
+                            ("x_star", cbar), ("f_star", fstar), ("lipschitz", lip)):
             object.__setattr__(self, name, value)
         offsets = self.gradient_offsets()
         object.__setattr__(self, "d2", float(np.max(np.sum(offsets**2, axis=1))))
@@ -193,6 +206,8 @@ def build_quadratic(N: int, m: int, L: float, spread: float, seed: int,
         lam = np.asarray(eigenvalues, dtype=float)
         if lam.shape != (m,) or np.any(lam < 0) or not np.all(np.isfinite(lam)):
             raise ValueError("eigenvalues must be m nonnegative finite values")
+        if np.max(lam) == 0:
+            raise ValueError("eigenvalues must not all be zero")
         lam = lam * (L / np.max(lam))
 
     if rotate and m > 1:

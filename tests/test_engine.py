@@ -198,18 +198,52 @@ class TestTraceAndValidation:
         assert tr.diverged
         assert tr.diverged_round is not None
 
-    def test_running_min_skips_a_non_finite_last_checkpoint(self):
-        # x <- -9x each round: ||grad f||^2 = x^2 overflows at t = 162 while
-        # x is still finite, so that checkpoint is written and the run stops
+    @pytest.mark.parametrize("mode", ["generalized", "wait_minibatch", "wait_full"])
+    def test_running_min_skips_a_non_finite_last_checkpoint(self, mode):
+        # x <- -9x each round (one-round windows in the wait modes):
+        # ||grad f||^2 = x^2 overflows at t = 162 while x is still finite, so
+        # that checkpoint is written and the run stops
         pop = single_client_pop()
         cfg = fa.RunConfig(gamma=10.0, eta=1.0, local_steps=1, amplify_every=1,
-                           rounds=500, x0=np.array([1.0]), eval_every=1)
+                           rounds=500, x0=np.array([1.0]), eval_every=1, mode=mode)
         with np.errstate(over="ignore"):
             tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 500), cfg, seed=0)
-        assert tr.diverged_round == tr.t[-1]
-        assert np.isinf(tr.grad_norm_sq[-1]) and np.isfinite(tr.grad_norm_sq[:-1]).all()
+        assert tr.diverged_round == 162
+        np.testing.assert_array_equal(tr.t, np.arange(163))
+        assert np.isinf(tr.f[-1]) and np.isinf(tr.grad_norm_sq[-1])
+        assert np.isfinite(tr.grad_norm_sq[:-1]).all()
+        assert tr.x_final[0] == pytest.approx(9.0**162, rel=1e-12)
         np.testing.assert_array_equal(tr.min_grad_norm_sq, np.ones(len(tr.t)))
         assert tr.final_min_grad_norm_sq == 1.0
+
+    @pytest.mark.parametrize("mode", ["wait_minibatch", "wait_full"])
+    def test_wait_update_overflow_exit(self, mode):
+        # x <- (1 - 1e200) x at each window end (t = 1, 3, ...): finite after
+        # the first window, infinite after the second; no checkpoint between
+        pop = single_client_pop()
+        cfg = fa.RunConfig(gamma=1e200, eta=1.0, local_steps=1, amplify_every=2,
+                           rounds=8, x0=np.array([1.0]), eval_every=8, mode=mode)
+        with np.errstate(over="ignore"):
+            tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, 8), cfg, seed=0)
+        assert tr.diverged_round == 3
+        np.testing.assert_array_equal(tr.t, [0])
+        assert (tr.f[-1], tr.grad_norm_sq[-1]) == (0.5, 1.0)
+        assert tr.x_final[0] == np.finfo(float).max   # nan_to_num of +inf
+
+    @pytest.mark.parametrize("mode", ["generalized", "wait_minibatch", "wait_full"])
+    def test_only_final_checkpoint_overflows(self, mode):
+        # x <- -9x for T = 162 rounds: every round's update and checkpoint is
+        # finite, and ||grad f||^2 first overflows at the checkpoint at t = T
+        pop = single_client_pop()
+        T = 162
+        cfg = fa.RunConfig(gamma=10.0, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=T, x0=np.array([1.0]), eval_every=1, mode=mode)
+        with np.errstate(over="ignore"):
+            tr = fa.run(pop, fa.NoiseModel(), full_schedule(1, T), cfg, seed=0)
+        assert tr.diverged_round == T
+        np.testing.assert_array_equal(tr.t, np.arange(T + 1))
+        assert np.isinf(tr.grad_norm_sq[-1])
+        assert np.isfinite(tr.grad_norm_sq[:-1]).all()
 
     def test_config_validation(self):
         x0 = np.ones(2)
@@ -331,8 +365,9 @@ class TestWaitBaselines:
         expect = -0.2 * 3 * np.mean(draws, axis=0)
         assert tr.x_final[0] == pytest.approx(expect[0], rel=1e-12)
 
-    def test_wait_minibatch_matches_straight_line_transcription(self):
-        # independent re-implementation of the wait-for-all baseline, bit for
+    @pytest.mark.parametrize("mode", ["wait_minibatch", "wait_full"])
+    def test_wait_matches_straight_line_transcription(self, mode):
+        # independent re-implementation of the wait-for-all baselines, bit for
         # bit: frozen x per window, one averaged step over appearing clients
         pop = fa.build_quadratic(N=5, m=3, L=1.0, spread=0.8, seed=27)
         noise = fa.NoiseModel("gaussian", 0.5)
@@ -348,16 +383,20 @@ class TestWaitBaselines:
             appearing = [n for n in range(5) if window[:, n].any()]
             step = np.zeros(3)
             for n in appearing:
-                acc = np.zeros(3)
-                rounds_n = [end - P + r for r in range(P) if window[r, n] != 0]
-                for t in rounds_n:
-                    rng = fa.substream(seed, "local", t, n)
-                    acc += pop.grad(n, x) + noise.sample(rng, 3)
-                step += -gamma * I * (acc / len(rounds_n))
+                if mode == "wait_full":
+                    g = pop.grad(n, x)
+                else:
+                    acc = np.zeros(3)
+                    rounds_n = [end - P + r for r in range(P) if window[r, n] != 0]
+                    for t in rounds_n:
+                        rng = fa.substream(seed, "local", t, n)
+                        acc += pop.grad(n, x) + noise.sample(rng, 3)
+                    g = acc / len(rounds_n)
+                step += -gamma * I * g
             x = x + step / len(appearing)
 
         cfg = fa.RunConfig(gamma=gamma, eta=1.0, local_steps=I, amplify_every=P,
-                           rounds=T, x0=x0, mode="wait_minibatch")
+                           rounds=T, x0=x0, mode=mode)
         tr = fa.run(pop, noise, sched, cfg, seed=seed)
         np.testing.assert_array_equal(tr.x_final, x)
 

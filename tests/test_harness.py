@@ -99,6 +99,20 @@ class TestCliRun:
         assert rows[0] == ["run", "seed", "t", "f", "grad_norm_sq",
                            "min_grad_norm_sq", "is_boundary"]
 
+    @pytest.mark.parametrize("rotate", ["true", "false"])
+    def test_all_zero_spectrum_exit_1(self, cfg_file, tmp_path, capsys, rotate):
+        # a spectrum of zeros cannot be scaled to L; it used to build a NaN
+        # population (diagonal: "diverged at round 0", exit 2, NaN metrics)
+        out = tmp_path / "o"
+        code = main(["run", "--config", cfg_file, "--out", str(out),
+                     "--set", "population.spectrum=linspace",
+                     "--set", "population.eigen_lo=0",
+                     "--set", "population.eigen_hi=0",
+                     "--set", f"population.rotate={rotate}"])
+        assert code == 1
+        assert "error: eigenvalues must not all be zero" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, cfg_file, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         main(["run", "--config", cfg_file, "--out", a])

@@ -171,6 +171,53 @@ class TestHandBuilt:
         with pytest.raises(ValueError):
             fa.QuadraticPopulation(A=A, centers=centers)
 
+    @pytest.mark.parametrize("A, centers, match", [
+        (np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((3, 2)), "symmetric"),
+        (np.diag([-1.0, 1.0]), np.zeros((3, 2)), "semidefinite"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros((3, 2)), "finite"),
+        (np.eye(2), np.array([[0.0, 0.0], [np.inf, 0.0]]), "finite"),
+    ], ids=["non-symmetric", "indefinite", "nan-in-A", "inf-center"])
+    def test_curvature_the_constants_cannot_describe_raises(self, A, centers, match):
+        # each was accepted before, with a wrong L, an f* of an unbounded f,
+        # or NaN constants
+        with pytest.raises(ValueError, match=match):
+            fa.QuadraticPopulation(A=A, centers=centers)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rotated_psd_with_zero_eigenvalues_accepted(self, seed):
+        # eigvalsh of a rotated singular A rounds its zeros to about -1e-16
+        pop = fa.build_quadratic(N=3, m=8, L=1.0, spread=0.5, seed=seed,
+                                 eigenvalues=np.r_[np.zeros(4), np.ones(4)])
+        assert pop.diag is None
+        assert pop.lipschitz == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_arrays_are_read_only_copies(self, rotate):
+        built = fa.build_quadratic(N=3, m=2, L=1.0, spread=0.5, seed=14,
+                                   rotate=rotate)
+        A, C = built.A.copy(), built.centers.copy()
+        pop = fa.QuadraticPopulation(A=A, centers=C)
+        for name in ("A", "centers", "diag", "x_star"):
+            arr = getattr(pop, name)
+            if arr is not None:
+                assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            pop.centers[0] += 10
+        # the caller's arrays are not the population's, and stay writable
+        assert A.flags.writeable and C.flags.writeable
+        C[0] += 10
+        A[0, 0] = 5.0
+        np.testing.assert_array_equal(pop.centers, built.centers)
+        np.testing.assert_array_equal(pop.A, built.A)
+        assert pop.global_grad(pop.x_star).tobytes() == \
+            built.global_grad(built.x_star).tobytes()
+
+    def test_all_zero_spectrum_rejected(self):
+        # L / max(lam) would be 0 / 0 and give a NaN population
+        with pytest.raises(ValueError, match="all be zero"):
+            fa.build_quadratic(N=2, m=3, L=1.0, spread=0.5, seed=0,
+                               eigenvalues=np.zeros(3))
+
 
 class TestNoise:
     def test_gaussian_second_moment(self):
