@@ -103,16 +103,16 @@ def divergence_exact(pop: QuadraticPopulation, schedule: WeightSchedule,
 
 def sample_offsets(pop, points: np.ndarray) -> np.ndarray:
     """Client offsets grad F_n(x) - grad f(x) at each of k sample points x,
-    shape (k, N, m): N gradients a point.  A shared-curvature quadratic's
-    offsets do not depend on x, so they are taken once, exactly, shape
-    (1, N, m), free of the cancellation that gradients of size ~L|x| would
-    suffer far from the optimum."""
+    shape (k, N, m): one `client_grads` call a point.  A shared-curvature
+    quadratic's offsets do not depend on x, so they are taken once,
+    exactly, shape (1, N, m), free of the cancellation that gradients of
+    size ~L|x| would suffer far from the optimum."""
     points = np.atleast_2d(points)
     if points.size == 0:
         raise ValueError("empty sample set")
     if isinstance(pop, QuadraticPopulation):
         return pop.gradient_offsets()[None]
-    grads = np.stack([[pop.grad(n, x) for n in range(pop.N)] for x in points])
+    grads = np.stack([pop.client_grads(x) for x in points])
     return grads - grads.mean(axis=1, keepdims=True)
 
 

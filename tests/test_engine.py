@@ -73,6 +73,51 @@ class TestRecursion:
             np.testing.assert_array_equal(tr.x_final, x)
             assert tr.is_boundary[-1] == (T % P == 0)
 
+    def test_logistic_matches_straight_line_transcription(self):
+        # minibatch local steps and a full-batch checkpoint every round, bit
+        # for bit against per-client minibatch_grad, grad and value calls
+        pop = fa.build_logistic(N=6, m=3, samples_per_client=10, seed=23)
+        gamma, eta, I, P, T, batch = 0.2, 2.0, 2, 3, 10, 4
+        x0 = np.array([1.0, -0.5, 0.25])
+        seed = 79
+        sched = fa.generate_schedule(fa.PatternSpec("independent", S=3), 6, T,
+                                     seed=5)
+
+        def checkpoint(x):
+            f, g = 0.0, np.zeros(3)
+            for n in range(pop.N):
+                f += pop.value(n, x)
+                g += pop.grad(n, x)
+            g = g / pop.N
+            return f / pop.N, float(g @ g)
+
+        x, u, rows = x0.copy(), np.zeros(3), []
+        for t in range(T):
+            rows.append(checkpoint(x))
+            q = sched.weights[t]
+            step = np.zeros(3)
+            for n in np.nonzero(q)[0]:
+                rng = fa.substream(seed, "local", t, int(n))
+                y = x.copy()
+                for _ in range(I):
+                    y -= gamma * pop.minibatch_grad(n, y, batch, rng)
+                step += q[n] * (y - x)
+            x = x + step
+            u = u + step
+            if (t + 1) % P == 0:
+                x = x + (eta - 1.0) * u
+                u = np.zeros(3)
+        rows.append(checkpoint(x))
+        f, g2 = np.array(rows).T
+
+        cfg = fa.RunConfig(gamma=gamma, eta=eta, local_steps=I, amplify_every=P,
+                           rounds=T, x0=x0, eval_every=1, minibatch=batch)
+        tr = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=seed)
+        assert tr.t.tolist() == list(range(T + 1))
+        assert tr.f.tobytes() == f.tobytes()
+        assert tr.grad_norm_sq.tobytes() == g2.tobytes()
+        assert tr.x_final.tobytes() == x.tobytes()
+
     def test_descent_without_noise(self):
         pop = fa.build_quadratic(N=6, m=4, L=2.0, spread=0.5, seed=22)
         T = 40

@@ -413,14 +413,14 @@ class TestCliDiagnose:
     def test_sampled_mode_takes_gradients_once_per_point(self, cfg_file, tmp_path,
                                                          monkeypatch):
         calls = []
-        real = fa.LogisticPopulation.grad
-        monkeypatch.setattr(fa.LogisticPopulation, "grad",
-                            lambda pop, n, x: calls.append(n) or real(pop, n, x))
+        real = fa.LogisticPopulation.client_grads
+        monkeypatch.setattr(fa.LogisticPopulation, "client_grads",
+                            lambda pop, x: calls.append(x) or real(pop, x))
         out = tmp_path / "d"
         assert main(["diagnose", "--config", cfg_file, "--out", str(out),
                      "--set", "population.kind=logistic", "--set", "diagnose.points=3",
                      "--set", "diagnose.P_list=1 2 4 8"]) == 0
-        assert len(calls) == 8 * 3                   # N per point, not per P as well
+        assert len(calls) == 3                       # one per point, not per P as well
         # the shared gradients give the rows of one call per P on fresh offsets
         cfg = fa.load_config(cfg_file, ["population.kind=logistic"])
         pop = build_population(cfg)

@@ -297,3 +297,71 @@ class TestLogistic:
             x, y = rng.normal(size=(2, pop.m))
             lhs = np.linalg.norm(pop.global_grad(x) - pop.global_grad(y))
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-9)
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(17)
+        return rng.normal(size=(3, 4, 2)), np.where(rng.random((3, 4)) < 0.5, -1.0, 1.0)
+
+    @pytest.mark.parametrize("case", ["labels_shape", "labels_01", "label_nan",
+                                      "feature_nan", "feature_inf", "features_2d",
+                                      "no_clients", "no_samples", "no_dims"])
+    def test_bad_arrays_rejected_at_construction(self, case):
+        F, y = self._inputs()
+        if case == "labels_shape":    # used to fail in a checkpoint's broadcast
+            y = y[:, :3]
+        elif case == "labels_01":     # used to be a different objective
+            y = (y + 1) / 2
+        elif case == "label_nan":
+            y[1, 2] = np.nan
+        elif case == "feature_nan":   # used to fail in lipschitz's SVD
+            F[0, 1, 1] = np.nan
+        elif case == "feature_inf":
+            F[2, 0, 0] = -np.inf
+        elif case == "features_2d":   # used to raise IndexError from m
+            F, y = F[0], y[0]
+        elif case == "no_clients":
+            F, y = F[:0], y[:0]
+        elif case == "no_samples":
+            F, y = F[:, :0], y[:, :0]
+        else:
+            F = F[:, :, :0]
+        with pytest.raises(ValueError):
+            fa.LogisticPopulation(features=F, labels=y, lam=1e-3)
+
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_lam_rejected_at_construction(self, lam):
+        F, y = self._inputs()
+        with pytest.raises(ValueError):
+            fa.LogisticPopulation(features=F, labels=y, lam=lam)
+
+    def test_arrays_are_read_only_copies(self):
+        F, y = self._inputs()
+        pop = fa.LogisticPopulation(features=F, labels=y, lam=0)
+        x = np.array([0.5, -1.0])
+        g = pop.global_grad(x)
+        F[:] = 0.0
+        y[:] = 1.0
+        np.testing.assert_array_equal(pop.global_grad(x), g)
+        ints = fa.LogisticPopulation(features=F.astype(int), labels=y.astype(int), lam=0)
+        assert ints.labels.dtype == ints.features.dtype == np.float64
+        for a in (pop.features, pop.labels):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_stacked_evaluation_matches_per_client_calls(self):
+        # N = 9 clients and m = 1: numpy would sum this column pairwise, so
+        # only an in-order client sum keeps the bits; k = 130 > 128 makes
+        # each client's mean pairwise as well
+        pop =fa.build_logistic(N=9, m=1, samples_per_client=130, seed=18)
+        x = np.array([0.7])
+        G = pop.client_grads(x)
+        assert G.shape == (9, 1)
+        for n in range(pop.N):
+            assert G[n].tobytes() == pop.grad(n, x).tobytes()
+        acc, value = np.zeros(1), 0.0
+        for n in range(pop.N):
+            acc += pop.grad(n, x)
+            value += pop.value(n, x)
+        assert pop.global_grad(x).tobytes() == (acc / pop.N).tobytes()
+        assert pop.global_value(x) == value / pop.N

@@ -476,3 +476,57 @@ def test_window_lag_cov_matches_centered_products(case, data):
     expect = [np.mean(c[:T - p] * c[p:]) if p < T else np.nan
               for p in range(max_lag + 1)]
     assert lags.tobytes() == np.array(expect).tobytes()
+
+
+@st.composite
+def logistic_points(draw):
+    """A logistic population (k up to 16, or 130 past the pairwise block)
+    and an evaluation point of norm 1e-3 to ~1e300."""
+    N, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    k = draw(st.one_of(st.integers(1, 16), st.just(130)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    features = rng.normal(size=(N, k, m)) * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    labels = np.where(rng.random((N, k)) < 0.5, -1.0, 1.0)
+    pop = fa.LogisticPopulation(features, labels, draw(st.sampled_from([0.0, 1e-3, 1.0])))
+    direction = draw(hnp.arrays(np.float64, m, elements=VALUES))
+    return pop, direction * 10.0 ** draw(st.integers(-3, 297))
+
+
+def logistic_reference(pop, x):
+    """Per-client loops, verbatim: the rows of grad(n, x), global_grad,
+    global_value and lipschitz."""
+    from scipy.special import expit
+
+    def grad(n):
+        X, y = pop.features[n], pop.labels[n]
+        coeff = -y * expit(-y * (X @ x))
+        return coeff @ X / len(y) + pop.lam * x
+
+    def value(n):
+        margins = pop.labels[n] * (pop.features[n] @ x)
+        return (float(np.mean(np.logaddexp(0.0, -margins)))
+                + 0.5 * pop.lam * float(x @ x))
+
+    rows = np.array([grad(n) for n in range(pop.N)])
+    acc, total, worst = np.zeros(pop.m), 0.0, 0.0
+    for n in range(pop.N):
+        acc += grad(n)
+        total += value(n)
+        s = np.linalg.norm(pop.features[n], 2)
+        worst = max(worst, s * s / (4.0 * pop.samples_per_client))
+    return rows, acc / pop.N, total / pop.N, pop.lam + worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(logistic_points())
+def test_stacked_logistic_matches_per_client_loops(case):
+    # the stacked pass must keep every bit, also where the margins overflow
+    pop, x = case
+    with np.errstate(over="ignore", invalid="ignore"):   # as in checkpoint_eval
+        rows, g, f, lip = logistic_reference(pop, x)
+        got = pop.client_grads(x), pop.global_grad(x), pop.global_value(x)
+    assert got[0].tobytes() == rows.tobytes()
+    assert got[1].tobytes() == g.tobytes()
+    assert np.float64(got[2]).tobytes() == np.float64(f).tobytes()
+    assert np.float64(pop.lipschitz).tobytes() == np.float64(lip).tobytes()
+    event(f"finite value: {np.isfinite(f)}")
