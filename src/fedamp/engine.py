@@ -96,8 +96,8 @@ class Trace:
 
 def checkpoint_eval(pop, x: np.ndarray) -> tuple[float, float]:
     """Exact full-batch (f(x), ||grad f(x)||^2)."""
-    g = pop.global_grad(x)
-    return pop.global_value(x), float(g @ g)
+    f, g = pop.value_and_grad(x)
+    return f, float(g @ g)
 
 
 def _grad_kwargs(cfg: RunConfig) -> dict:
@@ -149,7 +149,7 @@ class _LocalSteps:
             xi, m = self.xi[:k], self.pop.m
             for j, n in enumerate(labels):
                 rng = substream(self.seed, "local", t, n, reuse=self.rng)
-                self.noise.sample_block(rng, steps, m, out=xi[j])
+                xi[j] = self.noise.sample_block(rng, steps, m)
         for i in range(steps):  # Y - gamma * (lam * (Y - C) + xi_i)
             np.subtract(Y, C, out=G)
             G *= lam
@@ -218,11 +218,11 @@ class _Rounds:
 
 
 def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
-        seed: int, simulate_all: bool = False) -> Trace:
+        seed: int) -> Trace:
     """Execute the generalized algorithm and return a checkpointed trace.
 
-    Only clients with positive weight take local steps, unless
-    `simulate_all`; either way only they enter the aggregate.
+    Only clients with positive weight take local steps and enter the
+    aggregate.
     """
     if cfg.mode != "generalized":
         return run_wait_baseline(pop, noise, schedule, cfg, seed)
@@ -232,17 +232,12 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     x_start = np.array(cfg.x0, dtype=float)   # x at the start of the current interval
 
     per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
-    rows = pop.N if simulate_all else int(per_round.max(initial=0))
-    local = _LocalSteps(pop, noise, cfg, seed, rows)
-    everyone = np.arange(pop.N)
+    local = _LocalSteps(pop, noise, cfg, seed, int(per_round.max(initial=0)))
 
     def update(t, x):
         q = schedule.weights[t]
         active = (q > 0).nonzero()[0]
-        if simulate_all:
-            deltas = local(everyone, x, t)[active]
-        else:
-            deltas = local(active, x, t)
+        deltas = local(active, x, t)
         deltas *= q[active][:, None]
         # rows are added in ascending client order (numpy sums a single
         # column, m = 1, pairwise)

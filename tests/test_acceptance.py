@@ -278,18 +278,14 @@ def test_a8_determinism_and_equivalences():
 
     cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=2, amplify_every=4,
                        rounds=24, x0=np.ones(4), eval_every=1)
-    skip = fa.run(pop, noise, sched, cfg, seed=9, simulate_all=False)
-    everyone = fa.run(pop, noise, sched, cfg, seed=9, simulate_all=True)
-    sim_ok = bool(np.array_equal(skip.x_final, everyone.x_final)
-                  and np.array_equal(skip.grad_norm_sq, everyone.grad_norm_sq))
+    tr = fa.run(pop, noise, sched, cfg, seed=9)
 
     # the batched diagonal kernel against the per-client reference
     x = straight_line(pop, noise, sched, cfg.gamma, cfg.eta, cfg.local_steps,
                       cfg.amplify_every, 24, cfg.x0, 9)
-    batched_ok = bool(np.array_equal(skip.x_final, x))
+    batched_ok = bool(np.array_equal(tr.x_final, x))
 
     elapsed = time.time() - start
-    report("A8 determinism and equivalences",
-           p_invariant and sim_ok and batched_ok,
-           f"interval invariance={p_invariant}, participant skipping={sim_ok}, "
+    report("A8 determinism and equivalences", p_invariant and batched_ok,
+           f"interval invariance={p_invariant}, "
            f"batched = per-client reference={batched_ok}", elapsed, 30.0)

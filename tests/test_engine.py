@@ -1,6 +1,7 @@
 """Engine semantics: update recursion, amplification, determinism, baselines."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -74,10 +75,12 @@ class TestRecursion:
             assert tr.is_boundary[-1] == (T % P == 0)
 
     def test_logistic_matches_straight_line_transcription(self):
-        # minibatch local steps and a full-batch checkpoint every round, bit
-        # for bit against per-client minibatch_grad, grad and value calls
+        # minibatch local steps, and full-gradient steps with Gaussian noise,
+        # with a full-batch checkpoint every round, bit for bit against
+        # per-client minibatch_grad, grad and value calls; the noise is the
+        # Gaussian draw written out, not NoiseModel.sample
         pop = fa.build_logistic(N=6, m=3, samples_per_client=10, seed=23)
-        gamma, eta, I, P, T, batch = 0.2, 2.0, 2, 3, 10, 4
+        gamma, eta, I, P, T, batch, sigma = 0.2, 2.0, 2, 3, 10, 4, 0.5
         x0 = np.array([1.0, -0.5, 0.25])
         seed = 79
         sched = fa.generate_schedule(fa.PatternSpec("independent", S=3), 6, T,
@@ -91,32 +94,41 @@ class TestRecursion:
             g = g / pop.N
             return f / pop.N, float(g @ g)
 
-        x, u, rows = x0.copy(), np.zeros(3), []
-        for t in range(T):
-            rows.append(checkpoint(x))
-            q = sched.weights[t]
-            step = np.zeros(3)
-            for n in np.nonzero(q)[0]:
-                rng = fa.substream(seed, "local", t, int(n))
-                y = x.copy()
-                for _ in range(I):
-                    y -= gamma * pop.minibatch_grad(n, y, batch, rng)
-                step += q[n] * (y - x)
-            x = x + step
-            u = u + step
-            if (t + 1) % P == 0:
-                x = x + (eta - 1.0) * u
-                u = np.zeros(3)
-        rows.append(checkpoint(x))
-        f, g2 = np.array(rows).T
+        def minibatch(n, y, rng):
+            return pop.minibatch_grad(n, y, batch, rng)
 
-        cfg = fa.RunConfig(gamma=gamma, eta=eta, local_steps=I, amplify_every=P,
-                           rounds=T, x0=x0, eval_every=1, minibatch=batch)
-        tr = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=seed)
-        assert tr.t.tolist() == list(range(T + 1))
-        assert tr.f.tobytes() == f.tobytes()
-        assert tr.grad_norm_sq.tobytes() == g2.tobytes()
-        assert tr.x_final.tobytes() == x.tobytes()
+        def noisy(n, y, rng):
+            return pop.grad(n, y) + rng.normal(0.0, sigma / math.sqrt(3), size=3)
+
+        for size, noise, local_grad in ((batch, fa.NoiseModel(), minibatch),
+                                        (None, fa.NoiseModel("gaussian", sigma),
+                                         noisy)):
+            x, u, rows = x0.copy(), np.zeros(3), []
+            for t in range(T):
+                rows.append(checkpoint(x))
+                q = sched.weights[t]
+                step = np.zeros(3)
+                for n in np.nonzero(q)[0]:
+                    rng = fa.substream(seed, "local", t, int(n))
+                    y = x.copy()
+                    for _ in range(I):
+                        y -= gamma * local_grad(n, y, rng)
+                    step += q[n] * (y - x)
+                x = x + step
+                u = u + step
+                if (t + 1) % P == 0:
+                    x = x + (eta - 1.0) * u
+                    u = np.zeros(3)
+            rows.append(checkpoint(x))
+            f, g2 = np.array(rows).T
+
+            cfg = fa.RunConfig(gamma=gamma, eta=eta, local_steps=I, amplify_every=P,
+                               rounds=T, x0=x0, eval_every=1, minibatch=size)
+            tr = fa.run(pop, noise, sched, cfg, seed=seed)
+            assert tr.t.tolist() == list(range(T + 1))
+            assert tr.f.tobytes() == f.tobytes()
+            assert tr.grad_norm_sq.tobytes() == g2.tobytes()
+            assert tr.x_final.tobytes() == x.tobytes()
 
     def test_descent_without_noise(self):
         pop = fa.build_quadratic(N=6, m=4, L=2.0, spread=0.5, seed=22)
@@ -172,47 +184,6 @@ class TestDeterminism:
         for tr in traces[1:]:
             np.testing.assert_array_equal(tr.x_final, traces[0].x_final)
             np.testing.assert_array_equal(tr.f, traces[0].f)
-
-    def test_simulate_all_matches_skip(self):
-        pop, noise, sched = self._setup()
-        cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=2, amplify_every=4,
-                           rounds=24, x0=np.ones(4), eval_every=1)
-        a = fa.run(pop, noise, sched, cfg, seed=9, simulate_all=False)
-        b = fa.run(pop, noise, sched, cfg, seed=9, simulate_all=True)
-        np.testing.assert_array_equal(a.x_final, b.x_final)
-        np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
-
-    def test_simulate_all_ignores_overflowing_idle_client(self):
-        # client 3 has weight 0 and a center so far out that its local steps
-        # overflow to NaN; simulating it must not let 0 * NaN reach x.
-        # Along the first axis (curvature 1) a step is y <- 3c - 2y, which
-        # the active clients (c = 0) leave at 0 and client 3 (c = 1e154)
-        # doubles until it overflows; the other axes contract.  Every
-        # constant of the population, and f and grad f at the checkpoints,
-        # stay finite.
-        A = np.diag([1.0, 0.5, 0.5])
-        centers = np.array([[0.0, 0.5, -0.2], [0.0, -0.3, 0.4],
-                            [0.0, -0.2, -0.2], [1e154, 0.0, 0.0]])
-        pop = fa.QuadraticPopulation(A=A, centers=centers)
-        T, steps, x0 = 4, 520, np.array([0.0, 1.0, 1.0])
-        y = x0.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(steps):
-                y -= 3.0 * pop.grad(3, y)
-        assert np.isnan(y[0])
-        weights = np.tile([1 / 3, 1 / 3, 1 / 3, 0.0], (T, 1))
-        sched = fa.WeightSchedule(weights=weights, pattern="fixed", seed=0)
-        cfg = fa.RunConfig(gamma=3.0, eta=1.0, local_steps=steps, amplify_every=1,
-                           rounds=T, x0=x0, eval_every=1)
-        skip = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            everyone = fa.run(pop, fa.NoiseModel(), sched, cfg, seed=4,
-                              simulate_all=True)
-        assert all(np.isfinite([pop.f_star, pop.d2, pop.lipschitz]))
-        assert not skip.diverged
-        assert not everyone.diverged, everyone.diverged_round
-        assert np.isfinite(skip.f).all() and np.isfinite(skip.grad_norm_sq).all()
-        np.testing.assert_array_equal(everyone.x_final, skip.x_final)
 
     def test_repeat_run_identical(self):
         pop, noise, sched = self._setup()
@@ -482,14 +453,15 @@ class TestCallContract:
     gradient per local step.  wait_minibatch takes one substream and one
     stochastic gradient per appearance in a window, wait_full one exact
     gradient per appearing client.  Merging or skipping any of them
-    changes what a seed means.
+    changes what a seed means.  Every checkpoint is one value_and_grad.
     """
 
     @pytest.fixture
     def calls(self, monkeypatch):
         import fedamp.engine
-        counts = {"substream": 0, "sample_block": 0, "stochastic_grad": 0,
-                  "grad": 0}
+        counts = dict.fromkeys(["substream", "sample_block", "stochastic_grad",
+                                "grad", "value_and_grad", "global_grad",
+                                "global_value"], 0)
 
         def counted(owner, name):
             inner = getattr(owner, name)
@@ -501,8 +473,11 @@ class TestCallContract:
 
         counted(fedamp.engine, "substream")
         counted(fa.NoiseModel, "sample_block")
-        counted(fa.QuadraticPopulation, "stochastic_grad")
         counted(fa.QuadraticPopulation, "grad")
+        for cls in (fa.QuadraticPopulation, fa.LogisticPopulation):
+            for name in ("stochastic_grad", "value_and_grad", "global_grad",
+                         "global_value"):
+                counted(cls, name)
         return counts
 
     @staticmethod
@@ -532,6 +507,26 @@ class TestCallContract:
         else:        # diagonal kernel: one noise block per participant
             assert calls["sample_block"] == nnz
             assert calls["stochastic_grad"] == 0
+        assert calls["value_and_grad"] == T // P + 1
+        assert calls["global_grad"] == calls["global_value"] == 0
+
+    @pytest.mark.parametrize("batch", [4, None], ids=["minibatch", "full"])
+    def test_logistic(self, calls, batch):
+        # the scalar path with minibatch or noisy full gradients, and a
+        # checkpoint every round
+        N, T, P, I = 6, 24, 4, 3
+        pop = fa.build_logistic(N=N, m=3, samples_per_client=8, seed=5)
+        spec = fa.PatternSpec("markov", S=3, p_aa=0.7, p_uu=0.6)
+        sched = fa.generate_schedule(spec, N, T, seed=9)
+        cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=I, amplify_every=P,
+                           rounds=T, x0=np.ones(3), eval_every=1, minibatch=batch)
+        fa.run(pop, fa.NoiseModel("gaussian", 0.5), sched, cfg, seed=3)
+        nnz = int(np.count_nonzero(sched.weights[:T]))
+        assert calls["substream"] == nnz
+        assert calls["stochastic_grad"] == I * nnz
+        assert calls["sample_block"] == 0
+        assert calls["value_and_grad"] == T + 1
+        assert calls["global_grad"] == calls["global_value"] == 0
 
     @pytest.mark.parametrize("kind", ["independent", "markov", "periodic"])
     @pytest.mark.parametrize("mode", ["wait_minibatch", "wait_full"])

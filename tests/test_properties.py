@@ -19,6 +19,7 @@ import fedamp as fa
 from fedamp import cli, participation
 from fedamp.analysis import _round_quantities
 from fedamp.config import SCHEMA, _bool, _fmt, _gap, _int_list, _offset
+from fedamp.engine import _LocalSteps
 
 # values k/1000 for |k| <= 10^6: wide range, no subnormal squares
 VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
@@ -525,8 +526,98 @@ def test_stacked_logistic_matches_per_client_loops(case):
     with np.errstate(over="ignore", invalid="ignore"):   # as in checkpoint_eval
         rows, g, f, lip = logistic_reference(pop, x)
         got = pop.client_grads(x), pop.global_grad(x), pop.global_value(x)
+        both, ckpt, g2 = pop.value_and_grad(x), fa.checkpoint_eval(pop, x), g @ g
     assert got[0].tobytes() == rows.tobytes()
-    assert got[1].tobytes() == g.tobytes()
+    assert got[1].tobytes() == both[1].tobytes() == g.tobytes()
     assert np.float64(got[2]).tobytes() == np.float64(f).tobytes()
+    assert np.float64(both[0]).tobytes() == np.float64(f).tobytes()
+    assert np.array(ckpt).tobytes() == np.array([f, g2]).tobytes()
     assert np.float64(pop.lipschitz).tobytes() == np.float64(lip).tobytes()
     event(f"finite value: {np.isfinite(f)}")
+
+
+@st.composite
+def quadratic_points(draw):
+    """A diagonal or rotated quadratic population and an evaluation point
+    of norm 1e-3 to ~1e200 (its value overflows past ~1e154)."""
+    N, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rotate = draw(st.booleans())
+    pop = fa.build_quadratic(N, m, L=draw(st.sampled_from([0.5, 1.0, 40.0])),
+                             spread=draw(st.sampled_from([0.0, 0.1, 1.0, 30.0])),
+                             seed=draw(st.integers(0, 2**32)), rotate=rotate)
+    direction = draw(hnp.arrays(np.float64, m, elements=VALUES))
+    return pop, direction * 10.0 ** draw(st.integers(-3, 197))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_points())
+def test_quadratic_checkpoint_matches_former_expressions(case):
+    # global_grad and global_value as they were before value_and_grad
+    # shared one A(x - c_bar), verbatim
+    pop, x = case
+
+    def apply_A(v):
+        if pop.diag is not None:
+            return pop.diag * v
+        return pop.A @ v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = apply_A(x - pop.x_star)
+        d = x - pop.x_star
+        f = 0.5 * float(d @ apply_A(d)) + pop.f_star
+        got = pop.global_grad(x), pop.global_value(x)
+        both, ckpt, g2 = pop.value_and_grad(x), fa.checkpoint_eval(pop, x), g @ g
+    assert got[0].tobytes() == both[1].tobytes() == g.tobytes()
+    assert np.float64(got[1]).tobytes() == np.float64(both[0]).tobytes() \
+        == np.float64(f).tobytes()
+    assert np.array(ckpt).tobytes() == np.array([f, g2]).tobytes()
+    event(f"kernel: {'diagonal' if pop.diag is not None else 'dense'}")
+    event(f"finite value: {np.isfinite(f)}")
+
+
+@st.composite
+def local_step_cases(draw):
+    """One round of local steps: a diagonal, rotated or logistic population
+    (the last with or without minibatch), every noise kind, and x and t."""
+    kind = draw(st.sampled_from(["diagonal", "rotated", "logistic"]))
+    N, m = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32))
+    batch = None
+    if kind == "logistic":
+        pop = fa.build_logistic(N, m, draw(st.integers(2, 9)), seed=seed)
+        batch = draw(st.one_of(st.none(), st.integers(1, 10)))
+    else:
+        pop = fa.build_quadratic(N, m, L=1.0, spread=1.0, seed=seed,
+                                 rotate=kind == "rotated")
+    noise = fa.NoiseModel(draw(st.sampled_from(["none", "gaussian", "sphere"])),
+                          draw(st.sampled_from([0.0, 0.3, 2.0])))
+    cfg = fa.RunConfig(gamma=draw(st.sampled_from([0.01, 0.1, 0.5])), eta=1.0,
+                       local_steps=draw(st.integers(1, 4)), amplify_every=1,
+                       rounds=1, x0=np.zeros(m), minibatch=batch)
+    x = draw(hnp.arrays(np.float64, m, elements=VALUES))
+    return pop, noise, cfg, x, draw(st.integers(0, 10**6)), seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_step_cases(), st.data())
+def test_local_step_rows_do_not_depend_on_who_else_steps(case, data):
+    # a client's update depends only on (seed, t, n, x): its row is the
+    # same alone, within a subset and among all N, and equals I
+    # stochastic_grad steps on its own fresh substream
+    pop, noise, cfg, x, t, seed = case
+    local = _LocalSteps(pop, noise, cfg, seed, pop.N)
+
+    def row(n, clients):
+        clients = np.array(sorted(clients))   # participants come in ascending order
+        return local(clients, x, t)[clients.tolist().index(n)].tobytes()
+
+    kw = {"batch": cfg.minibatch} if cfg.minibatch is not None else {}
+    for n in range(pop.N):
+        rng = fa.substream(seed, "local", t, n)
+        y = x.copy()
+        for _ in range(cfg.local_steps):
+            y -= cfg.gamma * pop.stochastic_grad(noise, n, y, rng, **kw)
+        others = data.draw(st.sets(st.integers(0, pop.N - 1)), label=f"subset {n}")
+        assert row(n, {n}) == row(n, others | {n}) == row(n, range(pop.N)) \
+            == (y - x).tobytes()
+    event(f"kernel: {'batched' if local.batched else 'per client'}")
