@@ -324,16 +324,14 @@ class LogisticPopulation:
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(f(x), grad f(x)) from one `features @ x` over all clients."""
         Fx = self.features @ x
+        v = np.mean(np.logaddexp(0.0, -(self.labels * Fx)), axis=1)
         reg = 0.5 * self.lam * float(x @ x)
-        f = 0.0
-        for v in np.mean(np.logaddexp(0.0, -(self.labels * Fx)), axis=1).tolist():
-            f += v + reg
-        # rows added in ascending client order: sum(axis=0) would add a
-        # single column (m = 1) pairwise
-        g = np.zeros(self.m)
-        for row in self._client_grads(Fx, x):
-            g += row
-        return f / self.N, g / self.N
+        # clients added in ascending order from zero: sum(axis=0) would add
+        # a single column (m = 1) pairwise
+        f = np.add.accumulate(np.concatenate(([0.0], v + reg)))[-1]
+        g = np.add.accumulate(np.vstack((np.zeros(self.m), self._client_grads(Fx, x))),
+                              axis=0)[-1]
+        return float(f) / self.N, g / self.N
 
     def global_grad(self, x: np.ndarray) -> np.ndarray:
         return self.value_and_grad(x)[1]

@@ -9,6 +9,7 @@ and Markov on/off availability chains.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,31 +198,30 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
         sel = np.argpartition(scores, spec.S - 1, axis=1)[:, :spec.S]
         np.put_along_axis(weights, sel, 1.0 / spec.S, axis=1)
 
-    elif spec.kind == "permutation":
-        rounds_per_perm = N // spec.S
-        n_perms = -(-T // rounds_per_perm)
-        perms = rng.permuted(np.tile(np.arange(N), (n_perms, 1)), axis=1)
-        flat = perms.reshape(-1, spec.S)[:T]
-        np.put_along_axis(weights, flat, 1.0 / spec.S, axis=1)
-
-    elif spec.kind == "periodic":
-        cycle = spec.G * spec.B
-        group_size = N // spec.G
-        offset = spec.offset if isinstance(spec.offset, int) else int(rng.integers(cycle))
-        group = ((np.arange(T) + offset) // spec.B) % spec.G
-        # within each availability block, consume a fresh permutation of the
-        # group S clients at a time (regularized selection among available)
-        rounds_per_perm = max(group_size // spec.S, 1)
-        pos_in_block = (np.arange(T) + offset) % spec.B
-        for t in range(T):
-            # a permutation serves at most rounds_per_perm rounds, so it
-            # never runs short of S clients
-            if t == 0 or pos_in_block[t] % rounds_per_perm == 0:
-                perm = rng.permutation(group_size)
-                cursor = 0
-            chosen = group[t] * group_size + perm[cursor:cursor + spec.S]
-            cursor += spec.S
-            weights[t, chosen] = 1.0 / spec.S
+    elif spec.kind in ("permutation", "periodic"):
+        # permutation selection is periodic availability with one group,
+        # available for the whole run
+        G, B, offset = ((spec.G, spec.B, spec.offset) if spec.kind == "periodic"
+                        else (1, T, 0))
+        if G * B + T > 2**63:
+            raise ValueError(f"periodic pattern needs G*B + T <= 2**63, so that "
+                             f"every round position fits int64; got G*B={G * B}, T={T}")
+        size = N // G
+        pos = np.arange(T) + (offset if isinstance(offset, int)
+                              else int(rng.integers(G * B)))
+        # within each availability block, a fresh permutation of the group
+        # serves at most rounds_per_perm rounds, S clients a round, so it
+        # never runs short (regularized selection among the available)
+        rounds_per_perm = max(size // spec.S, 1)
+        fresh = pos % B % rounds_per_perm == 0
+        fresh[0] = True
+        starts = np.flatnonzero(fresh)
+        # a block starts a permutation, so each one shuffles a single group
+        perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
+        # each permutation's first S * (rounds it serves) entries, in order
+        served = np.diff(starts, append=T)[:, None] * spec.S
+        chosen = perms[np.arange(size) < served].reshape(T, spec.S)
+        np.put_along_axis(weights, chosen, 1.0 / spec.S, axis=1)
 
     else:  # markov
         fallback = _markov_fill(rng, spec, weights)
@@ -232,7 +232,7 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
 
 def rho_bound(schedule: WeightSchedule) -> float:
     """rho = sqrt(max_t sum_n (q_t^n)^2)."""
-    return float(np.sqrt(np.max(np.sum(schedule.weights**2, axis=1))))
+    return math.sqrt(verify_simplex(schedule).rho2)
 
 
 @dataclass(frozen=True)

@@ -228,6 +228,25 @@ class TestCliRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("G,B,offset", [
+        # an OverflowError traceback
+        ("2", "10000000000000000000", "3"),
+        # "high is out of bounds for int64"
+        ("2", "10000000000000000000", "random"),
+        # offset + t wrapped to negative positions, silently
+        ("1", str(2**63 - 1), str(2**63 - 3))])
+    def test_periodic_positions_beyond_int64_exit_1(self, cfg_file, tmp_path,
+                                                    capsys, G, B, offset):
+        out = tmp_path / "x"
+        code = main(["run", "--config", cfg_file, "--out", str(out),
+                     "--set", "pattern.kind=periodic", "--set", f"pattern.G={G}",
+                     "--set", f"pattern.B={B}", "--set", f"pattern.offset={offset}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: periodic pattern needs G*B + T <= 2**63")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unallocatable_size_exit_1(self, cfg_file, tmp_path, capsys):
         # the (T, N) schedule needs 57 PiB, more than a process can address,
         # so it fails at once under any overcommit policy: no memory is used

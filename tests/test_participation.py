@@ -82,6 +82,12 @@ class TestPermutation:
         with pytest.raises(ValueError):
             make("permutation", N=10, T=5, S=3)
 
+    def test_is_periodic_with_one_group(self):
+        # one group, available for the whole run: the same draws and weights
+        perm = make("permutation", N=12, T=77, S=3, seed=4)
+        periodic = make("periodic", N=12, T=77, S=3, G=1, B=77, offset=0, seed=4)
+        assert perm.weights.tobytes() == periodic.weights.tobytes()
+
 
 class TestPeriodic:
     def test_selection_stays_inside_active_group(self):

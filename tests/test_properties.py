@@ -399,6 +399,36 @@ def test_periodic_matches_loop_with_second_reset(case):
     event(f"a permutation serves several rounds: {N // spec.G // spec.S > 1}")
 
 
+def permutation_reference(rng, spec, N, T):
+    """The permutation generator as it was, before it became periodic
+    availability with one group."""
+    weights = np.zeros((T, N))
+    rounds_per_perm = N // spec.S
+    n_perms = -(-T // rounds_per_perm)
+    perms = rng.permuted(np.tile(np.arange(N), (n_perms, 1)), axis=1)
+    flat = perms.reshape(-1, spec.S)[:T]
+    np.put_along_axis(weights, flat, 1.0 / spec.S, axis=1)
+    return weights
+
+
+@st.composite
+def permutation_cases(draw):
+    N = draw(st.integers(1, 40))
+    S = draw(st.sampled_from([d for d in range(1, N + 1) if N % d == 0]))
+    spec = fa.PatternSpec("permutation", S=S)
+    return spec, N, draw(st.integers(1, 200)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_cases())
+def test_permutation_matches_former_generator(case):
+    spec, N, T, seed = case
+    sched = fa.generate_schedule(spec, N, T, seed)
+    ref = permutation_reference(fa.substream(seed, "schedule"), spec, N, T)
+    assert sched.weights.tobytes() == ref.tobytes()
+    event(f"last permutation cut short: {T % (N // spec.S) != 0}")
+
+
 @st.composite
 def patterns(draw):
     """A pattern of each of the five kinds with valid random parameters."""
