@@ -269,10 +269,9 @@ def build_x0(cfg: ExperimentConfig, pop, master_seed: int) -> np.ndarray:
         return center + scale * v / np.linalg.norm(v)
     # spectral: per-eigenvalue offsets sqrt(scale/lam) spread the initial
     # error across the spectrum so no single curvature dominates the decay
-    diag = getattr(pop, "diag", None)
-    if diag is None or np.any(diag <= 0):
+    if pop.diag is None or np.any(pop.diag <= 0):
         raise ConfigError("spectral x0 needs a diagonal positive spectrum")
-    return center + np.sqrt(scale / diag)
+    return center + np.sqrt(scale / pop.diag)
 
 
 def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
@@ -310,7 +309,7 @@ def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
                    mode=cfg.get("run", "mode"),
                    minibatch=cfg.get("run", "minibatch") or None)
     try:
-        rc.validate(pop)
+        rc.validate(pop, build_noise(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return rc

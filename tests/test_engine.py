@@ -296,6 +296,47 @@ class TestTraceAndValidation:
             with pytest.raises(ValueError, match="minibatch"):
                 fa.run(pop, fa.NoiseModel(), sched, cfg, seed=0)
 
+    @pytest.mark.parametrize("x0", [[1.0, np.nan], [np.inf, 0.0]],
+                             ids=["nan", "inf"])
+    def test_non_finite_x0_rejected(self, x0):
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.array(x0))
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            cfg.validate()
+
+    def test_x0_of_other_dimension_rejected(self):
+        pop = fa.build_quadratic(N=4, m=3, L=1.0, spread=0.5, seed=26)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(2))
+        cfg.validate()
+        with pytest.raises(ValueError, match="x0 dimension 2 != population "
+                                             "dimension 3"):
+            fa.run(pop, fa.NoiseModel(), full_schedule(4, 4), cfg, seed=0)
+
+    @pytest.mark.parametrize("mode", ["generalized", "wait_minibatch"])
+    def test_minibatch_with_noise_rejected(self, mode):
+        # a minibatch gradient would drop the noise that planned the rates
+        pop = fa.build_logistic(N=4, m=3, samples_per_client=8, seed=27)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(3), mode=mode, minibatch=4)
+        for noise in (fa.NoiseModel("gaussian", 0.5), fa.NoiseModel("sphere", 2.0)):
+            with pytest.raises(ValueError, match="minibatch takes no gradient noise"):
+                fa.run(pop, noise, full_schedule(4, 4), cfg, seed=0)
+        for noise in (fa.NoiseModel(), fa.NoiseModel("gaussian", 0.0)):
+            fa.run(pop, noise, full_schedule(4, 4), cfg, seed=0)
+
+    @pytest.mark.parametrize("mode", ["generalized", "wait_minibatch"])
+    def test_minibatch_beyond_samples_rejected(self, mode):
+        # a batch of more than k samples would silently be the full batch
+        pop = fa.build_logistic(N=4, m=3, samples_per_client=8, seed=27)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=4, x0=np.ones(3), mode=mode, minibatch=9)
+        with pytest.raises(ValueError, match="minibatch 9 needs a population with "
+                                             "at least that many samples"):
+            fa.run(pop, fa.NoiseModel(), full_schedule(4, 4), cfg, seed=0)
+        fa.run(pop, fa.NoiseModel(), full_schedule(4, 4),
+               dataclasses.replace(cfg, minibatch=8), seed=0)
+
     def test_schedule_with_more_clients_rejected(self):
         pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=0.5, seed=28)
         cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
@@ -520,7 +561,8 @@ class TestCallContract:
         sched = fa.generate_schedule(spec, N, T, seed=9)
         cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=I, amplify_every=P,
                            rounds=T, x0=np.ones(3), eval_every=1, minibatch=batch)
-        fa.run(pop, fa.NoiseModel("gaussian", 0.5), sched, cfg, seed=3)
+        noise = fa.NoiseModel("gaussian", 0.5) if batch is None else fa.NoiseModel()
+        fa.run(pop, noise, sched, cfg, seed=3)
         nnz = int(np.count_nonzero(sched.weights[:T]))
         assert calls["substream"] == nnz
         assert calls["stochastic_grad"] == I * nnz

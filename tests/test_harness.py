@@ -203,6 +203,29 @@ class TestCliRun:
         assert code == 1
         assert "minibatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings,message", [
+        # the run was bit for bit the noiseless one
+        (["run.minibatch=4"],
+         "error: minibatch takes no gradient noise, got gaussian noise with "
+         "sigma = 0.5"),
+        # the run was bit for bit the minibatch=16 one
+        (["population.noise=none", "run.minibatch=17"],
+         "error: minibatch 17 needs a population with at least that many "
+         "samples per client; LogisticPopulation has 16")],
+        ids=["noise", "oversize"])
+    def test_minibatch_the_population_cannot_take_exit_1(self, cfg_file, tmp_path,
+                                                         capsys, settings, message):
+        out = tmp_path / "x"
+        opts = ["population.kind=logistic", "population.samples_per_client=16",
+                *settings]
+        code = main(["run", "--config", cfg_file, "--out", str(out),
+                     *(arg for opt in opts for arg in ("--set", opt))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key,value,setting", [
         # each was a traceback, a key-less message or a silently different run
         ("run.x0_scale", "nan", "run.planner=cor3.2"),
@@ -268,6 +291,21 @@ class TestCliRun:
         with pytest.raises(fa.ConfigError, match="minibatch"):
             build_run_config(cfg, pop, sched, 0)
 
+    @pytest.mark.parametrize("settings", [["run.minibatch=4"],
+                                          ["population.noise=none",
+                                           "run.minibatch=17"]],
+                             ids=["noise", "oversize"])
+    def test_minibatch_the_population_cannot_take_is_config_error(self, cfg_file,
+                                                                   settings):
+        from fedamp.config import build_population, build_run_config, build_schedule
+        cfg = fa.load_config(cfg_file, ["population.kind=logistic",
+                                        "population.samples_per_client=16",
+                                        *settings])
+        pop = build_population(cfg)
+        sched = build_schedule(cfg, pop.N, 64, 0)
+        with pytest.raises(fa.ConfigError, match="minibatch"):
+            build_run_config(cfg, pop, sched, 0)
+
 
 class TestCliSweep:
     def test_aggregate_rows(self, cfg_file, tmp_path):
@@ -297,7 +335,7 @@ class TestCliSweep:
         opts = ["--set", "population.kind=logistic",
                 "--set", "population.samples_per_client=16",
                 "--set", "run.minibatch=4", "--set", "run.eval_every=4",
-                "--set", "seeds.replications=1"]
+                "--set", "population.noise=none", "--set", "seeds.replications=1"]
         assert main(["run", "--config", cfg_file, "--out",
                      str(tmp_path / "r")] + opts) == 0
         assert main(["sweep", "--config", cfg_file, "--out", str(tmp_path / "s"),
