@@ -63,27 +63,45 @@ class DivergenceReport:
 _ROUND_BLOCK = 1024
 
 
-def _round_quantities(offsets: np.ndarray, weights: np.ndarray, P: int):
-    """The participation terms of per-client offsets (N, m) under a schedule.
+def _row_blocks(T: int):
+    """(lo, hi) blocks of `_ROUND_BLOCK` rows with a 1-row tail folded into
+    the block before it.  Row by row, a product over these blocks equals
+    one product over all T rows; a lone row would not, as numpy sends a
+    (1, N) product to another BLAS call."""
+    edges = list(range(0, T, _ROUND_BLOCK)) + [T]
+    if len(edges) > 2 and T - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
+
+
+def _round_quantities(offsets: np.ndarray, weights, P: int):
+    """The participation terms of per-client offsets (N, m) under a schedule,
+    a `WeightSchedule` or dense (T, N) weights, read a dense block at a time.
 
     Returns per-round beta2(t) and nu2(t), per-round sum_n q_t^n ||offs_n||^2,
     and delta2, the largest squared bias of the aligned P-round window
     averages (0 when no full window fits).
     """
-    T = weights.shape[0]
+    T = len(weights)
     beta_t = np.empty(T)
     nu_t = np.empty(T)
-    for lo in range(0, T, _ROUND_BLOCK):
-        w = weights[lo:lo + _ROUND_BLOCK]
-        b = w @ offsets                       # (block, m) weighted offsets
-        beta_t[lo:lo + _ROUND_BLOCK] = np.sum(b**2, axis=1)
-        diff = offsets[None, :, :] - b[:, None, :]
-        nu_t[lo:lo + _ROUND_BLOCK] = np.einsum("tn,tnm->t", w, diff**2)
-    weighted_d2 = weights @ np.sum(offsets**2, axis=1)
+    weighted_d2 = np.empty(T)
+    sq = np.sum(offsets**2, axis=1)
+    for lo, hi in _row_blocks(T):
+        w = weights[lo:hi]
+        weighted_d2[lo:hi] = w @ sq
+        for a in range(lo, hi, _ROUND_BLOCK):   # a tail row on its own
+            wa = w[a - lo:a - lo + _ROUND_BLOCK]
+            b = wa @ offsets                      # (block, m) weighted offsets
+            beta_t[a:a + _ROUND_BLOCK] = np.sum(b**2, axis=1)
+            diff = offsets[None, :, :] - b[:, None, :]
+            nu_t[a:a + _ROUND_BLOCK] = np.einsum("tn,tnm->t", wa, diff**2)
     n_windows = T // P
     delta2 = 0.0
     if n_windows:
-        b = weights[:n_windows * P] @ offsets
+        b = np.empty((n_windows * P, offsets.shape[1]))
+        for lo, hi in _row_blocks(len(b)):
+            b[lo:hi] = weights[lo:hi] @ offsets
         win = b.reshape(n_windows, P, -1).mean(axis=1)
         delta2 = float(np.max(np.sum(win**2, axis=1)))
     return beta_t, nu_t, weighted_d2, delta2
@@ -127,7 +145,7 @@ def divergence_at_offsets(offsets: np.ndarray, schedule: WeightSchedule,
     per_point = []
     with np.errstate(over="ignore", invalid="ignore"):
         for offs in offsets:
-            beta_t, nu_t, lhs, delta2 = _round_quantities(offs, schedule.weights, P)
+            beta_t, nu_t, lhs, delta2 = _round_quantities(offs, schedule, P)
             rhs = beta_t + nu_t
             residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30)
             per_point.append([np.max(np.sum(offs**2, axis=1)), beta_t.max(),

@@ -301,6 +301,10 @@ def resolve_plan(cfg: ExperimentConfig, pop, schedule, x0):
 def build_run_config(cfg: ExperimentConfig, pop, schedule, master_seed: int,
                      T: int | None = None) -> RunConfig:
     cfg = cfg if T is None else ExperimentConfig({**cfg.values, ("run", "T"): T})
+    if cfg.get("run", "minibatch") and cfg.get("run", "planner") != "none":
+        raise ConfigError("a planner needs the gradient noise sigma, which a "
+                          "minibatch gradient does not supply; with [run] "
+                          "minibatch > 0, set [run] planner = none")
     x0 = build_x0(cfg, pop, master_seed)
     gamma, eta = resolve_plan(cfg, pop, schedule, x0)
     rc = RunConfig(gamma=gamma, eta=eta, local_steps=cfg.get("run", "I"),

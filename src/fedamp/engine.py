@@ -233,14 +233,15 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     u = np.zeros(pop.m)
     x_start = np.array(cfg.x0, dtype=float)   # x at the start of the current interval
 
-    per_round = np.count_nonzero(schedule.weights[:T] > 0, axis=1)
+    # on the simplex, a row's stored weights are its positive ones
+    bounds = schedule.indptr[:T + 1].tolist()
+    per_round = np.diff(schedule.indptr[:T + 1])
     local = _LocalSteps(pop, noise, cfg, seed, int(per_round.max(initial=0)))
 
     def update(t, x):
-        q = schedule.weights[t]
-        active = (q > 0).nonzero()[0]
-        deltas = local(active, x, t)
-        deltas *= q[active][:, None]
+        a, b = bounds[t], bounds[t + 1]
+        deltas = local(schedule.idx[a:b], x, t)
+        deltas *= schedule.q[a:b, None]
         # rows are added in ascending client order (numpy sums a single
         # column, m = 1, pairwise)
         step = deltas.sum(axis=0)
@@ -278,11 +279,14 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
         if (t + 1) % P:
             return True
         t_start = t + 1 - P
-        window = schedule.weights[t_start:t + 1]
+        a, b = schedule.indptr[t_start], schedule.indptr[t + 1]
+        clients = schedule.idx[a:b]
+        rounds_in = np.repeat(np.arange(t_start, t + 1),
+                              np.diff(schedule.indptr[t_start:t + 2]))
         # the window's appearances: client-major, rounds ascending
-        clients, offsets = np.nonzero(window.T)
+        order = np.argsort(clients, kind="stable")
         appearing = {}
-        for n, tr in zip(clients.tolist(), (offsets + t_start).tolist()):
+        for n, tr in zip(clients[order].tolist(), rounds_in[order].tolist()):
             appearing.setdefault(n, []).append(tr)
         step = np.zeros(pop.m)
         for n, rounds_n in appearing.items():  # ascending client index

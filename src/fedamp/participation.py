@@ -72,34 +72,87 @@ class PatternSpec:
         return f"markov(p_aa={self.p_aa},p_uu={self.p_uu},S={self.S})"
 
 
+def _row_pointers(counts) -> np.ndarray:
+    """indptr of rows with the given entry counts: 0, then their running sum."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 @dataclass(frozen=True)
 class WeightSchedule:
-    weights: np.ndarray          # (T, N) dense, rows on the simplex
+    """Per-round points on the simplex over N clients, stored as sparse rows.
+
+    Round t's clients are idx[indptr[t]:indptr[t + 1]], strictly ascending,
+    with weights q[indptr[t]:indptr[t + 1]].  A row holds every nonzero
+    weight and nothing else, so a schedule of S clients a round takes
+    O(T * S) memory.  `schedule[lo:hi]` gives rounds lo..hi-1 as a dense
+    (hi - lo, N) block, so passes over the rows run block by block.
+    """
+
+    indptr: np.ndarray           # (T + 1,) int64, where each row starts
+    idx: np.ndarray              # clients of every row, ascending per row
+    q: np.ndarray                # their weights
+    N: int
     pattern: str
     seed: int
     fallback_rounds: int = 0     # markov rounds with no available client
 
+    @classmethod
+    def from_dense(cls, weights, pattern: str, seed: int,
+                   fallback_rounds: int = 0) -> "WeightSchedule":
+        """The schedule of a dense (T, N) array.  Every nonzero entry is
+        kept, negative and non-finite ones too, so that `verify_simplex`
+        rejects them."""
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2:
+            raise ValueError(f"need dense weights of shape (T, N), got {weights.shape}")
+        rows, idx = np.nonzero(weights)
+        return cls(indptr=_row_pointers(np.bincount(rows, minlength=len(weights))),
+                   idx=idx, q=weights[rows, idx], N=weights.shape[1],
+                   pattern=pattern, seed=int(seed), fallback_rounds=fallback_rounds)
+
     @property
     def T(self) -> int:
-        return self.weights.shape[0]
+        return len(self.indptr) - 1
+
+    def __len__(self) -> int:
+        return self.T
+
+    def __getitem__(self, rounds: slice) -> np.ndarray:
+        """Rounds lo..hi-1 of `schedule[lo:hi]` as a dense (hi - lo, N) block."""
+        if not isinstance(rounds, slice):
+            raise TypeError("index a schedule with a slice of rounds")
+        lo, hi, step = rounds.indices(self.T)
+        if step != 1:
+            raise ValueError("a schedule slice takes consecutive rounds")
+        hi = max(lo, hi)
+        block = np.zeros((hi - lo, self.N))
+        a, b = self.indptr[lo], self.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+        block[rows, self.idx[a:b]] = self.q[a:b]
+        return block
 
     @property
-    def N(self) -> int:
-        return self.weights.shape[1]
+    def weights(self) -> np.ndarray:
+        """The dense (T, N) weights, built anew on each access."""
+        return self[:]
 
     def to_csv(self, path):
+        rounds = np.repeat(np.arange(self.T), np.diff(self.indptr))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "n", "q"])
-            for t in range(self.T):
-                for n in np.nonzero(self.weights[t])[0]:
-                    w.writerow([t, int(n), f"{self.weights[t, n]:.17g}"])
+            w.writerows(zip(rounds.tolist(), self.idx.tolist(),
+                            (f"{v:.17g}" for v in self.q.tolist())))
 
 
 def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
     """Read a raw `t,n,q` schedule file.  Rows may carry unequal weights;
-    each (t, n) pair may appear once, with t >= 0 and 0 <= n < N."""
+    each (t, n) pair may appear once, with t >= 0 and 0 <= n < N.  The
+    rounds run to the largest t; explicit zero weights are dropped."""
     entries = {}
+    n_limit = 2**63 if N is None else min(N, 2**63)   # T = t + 1 and n fit int64
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -110,9 +163,9 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
                 t, n, q = int(row[0]), int(row[1]), float(row[2])
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"schedule line {line} {row}: {exc}") from exc
-            if t < 0 or not 0 <= n < (N if N is not None else np.inf):
-                raise ValueError(f"schedule line {line} {row}: need t >= 0 "
-                                 f"and 0 <= n < N (N={N})")
+            if not (0 <= t < 2**63 - 1 and 0 <= n < n_limit):
+                raise ValueError(f"schedule line {line} {row}: need "
+                                 f"0 <= t < 2**63 - 1 and 0 <= n < N (N={N})")
             if (t, n) in entries:
                 raise ValueError(f"schedule line {line} {row}: repeats "
                                  f"round {t}, client {n}")
@@ -120,9 +173,12 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
     if not entries:
         raise ValueError("empty schedule file")
     ts, ns = zip(*entries)
-    weights = np.zeros((max(ts) + 1, N if N is not None else max(ns) + 1))
-    weights[ts, ns] = list(entries.values())
-    sched = WeightSchedule(weights=weights, pattern=f"file({path})", seed=0)
+    T, N = max(ts) + 1, N if N is not None else max(ns) + 1
+    kept = sorted(key for key, q in entries.items() if q != 0)
+    t, n = np.array(kept, dtype=np.int64).reshape(-1, 2).T.copy()
+    sched = WeightSchedule(indptr=_row_pointers(np.bincount(t, minlength=T)), idx=n,
+                           q=np.array([entries[key] for key in kept], dtype=float),
+                           N=N, pattern=f"file({path})", seed=0)
     verify_simplex(sched, strict=True)
     return sched
 
@@ -130,10 +186,54 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
 # rows per block of the Markov generator: about 2**17 draws, so its
 # temporaries stay small whatever N is
 _MARKOV_BLOCK_DRAWS = 1 << 17
+# the same bound for every other pass over the rows: the independent
+# generator's draws and the dense blocks of the reductions
+_BLOCK_ENTRIES = 1 << 17
 
 
-def _markov_fill(rng, spec: PatternSpec, weights: np.ndarray) -> int:
-    """Fill `weights` with a Markov on/off schedule; return its fallback rounds.
+def _independent_fill(rng, S: int, chosen: np.ndarray):
+    """Mark S clients of every round in the (T, N) `chosen`, those of the S
+    smallest of N uniform scores.  Scores drawn in row blocks equal one
+    (T, N) draw, and argpartition picks each row's S from that row alone."""
+    T, N = chosen.shape
+    rows = max(1, _BLOCK_ENTRIES // N)
+    for lo in range(0, T, rows):
+        scores = rng.random((min(rows, T - lo), N))
+        np.put_along_axis(chosen[lo:lo + len(scores)],
+                          np.argpartition(scores, S - 1, axis=1)[:, :S], True, axis=1)
+
+
+def _periodic_fill(rng, spec: PatternSpec, chosen: np.ndarray):
+    """Mark a periodic or permutation schedule's clients in the (T, N)
+    `chosen`.  Permutation selection is periodic availability with one
+    group, available for the whole run."""
+    T, N = chosen.shape
+    G, B, offset = ((spec.G, spec.B, spec.offset) if spec.kind == "periodic"
+                    else (1, T, 0))
+    if G * B + T > 2**63:
+        raise ValueError(f"periodic pattern needs G*B + T <= 2**63, so that "
+                         f"every round position fits int64; got G*B={G * B}, T={T}")
+    size = N // G
+    pos = np.arange(T) + (offset if isinstance(offset, int)
+                          else int(rng.integers(G * B)))
+    # within each availability block, a fresh permutation of the group
+    # serves at most rounds_per_perm rounds, S clients a round, so it
+    # never runs short (regularized selection among the available)
+    rounds_per_perm = max(size // spec.S, 1)
+    fresh = pos % B % rounds_per_perm == 0
+    fresh[0] = True
+    starts = np.flatnonzero(fresh)
+    # a block starts a permutation, so each one shuffles a single group
+    perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
+    # each permutation's first S * (rounds it serves) entries, in order
+    served = np.diff(starts, append=T)[:, None] * spec.S
+    np.put_along_axis(chosen, perms[np.arange(size) < served].reshape(T, spec.S),
+                      True, axis=1)
+
+
+def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
+    """Mark a Markov on/off schedule's clients in the (T, N) `chosen`;
+    return its fallback rounds.
 
     A client steps its availability with one uniform u per round.  With
     a = u < p_aa and b = u >= p_uu, the round sets the state to a when
@@ -142,11 +242,12 @@ def _markov_fill(rng, spec: PatternSpec, weights: np.ndarray) -> int:
     carried into the block, XOR the parity of the flips since; block-wise
     accumulations give it without a loop over rounds.  Each double takes one
     64-bit output, so the block draws equal one draw per stage: the initial
-    states, all transitions, then all selection scores.
+    states, all transitions, then all selection scores.  `chosen` holds the
+    availability until the selection replaces it, row block by row block.
     """
-    T, N = weights.shape
+    T, N = chosen.shape
     rows = max(1, _MARKOV_BLOCK_DRAWS // N)
-    avail = np.empty((T, N), dtype=bool)
+    avail = chosen
     avail[0] = rng.random(N) < (1.0 - spec.p_uu) / (2.0 - spec.p_aa - spec.p_uu)
     for lo in range(1, T, rows):
         u = rng.random((min(rows, T - lo), N))
@@ -162,71 +263,55 @@ def _markov_fill(rng, spec: PatternSpec, weights: np.ndarray) -> int:
         np.logical_xor(np.take_along_axis(base, last, axis=0), parity,
                        out=avail[lo:lo + len(u)])
 
-    # the first k = min(S, available) available clients by score; with no
-    # client available, the first min(S, N) of all clients (fallback)
-    fallback = 0
+    # the first min(S, available) available clients by score; with no
+    # client available, the first S of all clients (fallback)
+    empty = ~avail.any(axis=1)
     for lo in range(0, T, rows):
         scores = rng.random((min(rows, T - lo), N))
-        av = avail[lo:lo + len(scores)]
-        count = av.sum(axis=1)
-        empty = count == 0
-        scores = np.where(av | empty[:, None], scores, np.inf)
-        k = np.minimum(spec.S, np.where(empty, N, count))
-        # a stable sort breaks ties by client index; k <= S, so the first S
-        # of each order hold every chosen client
-        first = np.argsort(scores, axis=1, kind="stable")[:, :spec.S]
-        q = np.where(np.arange(spec.S) < k[:, None], 1.0 / k[:, None], 0.0)
-        np.put_along_axis(weights[lo:lo + len(scores)], first, q, axis=1)
-        fallback += int(empty.sum())
-    return fallback
+        candidate = avail[lo:lo + len(scores)]
+        candidate |= empty[lo:lo + len(scores), None]
+        np.copyto(scores, np.inf, where=~candidate)
+        # every candidate below the S-th smallest score, then those at it in
+        # client order until S are chosen: a stable sort's first S.  With
+        # fewer than S candidates that score is inf, and each one is chosen.
+        kth = np.partition(scores, spec.S - 1, axis=1)[:, spec.S - 1:spec.S]
+        below, at_kth = scores < kth, scores == kth
+        at_kth &= np.cumsum(at_kth, axis=1) <= spec.S - below.sum(axis=1, keepdims=True)
+        candidate &= below | at_kth
+    return int(empty.sum())
 
 
 def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSchedule:
-    """Seeded, bit-reproducible schedule for the given pattern."""
+    """Seeded, bit-reproducible schedule for the given pattern.
+
+    Each pattern marks its clients in a (T, N) boolean mask, one byte an
+    entry; the rows are read off it in client order, with weight 1/k for
+    the k clients of a round.
+    """
     spec.validate(N)
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     rng = substream(seed, "schedule")
-    weights = np.zeros((T, N))
+    chosen = np.zeros((T, N), dtype=bool)
     fallback = 0
 
     if spec.kind == "full":
-        weights[:] = 1.0 / N
+        chosen[:] = True
 
     elif spec.kind == "independent":
-        scores = rng.random((T, N))
-        sel = np.argpartition(scores, spec.S - 1, axis=1)[:, :spec.S]
-        np.put_along_axis(weights, sel, 1.0 / spec.S, axis=1)
+        _independent_fill(rng, spec.S, chosen)
 
-    elif spec.kind in ("permutation", "periodic"):
-        # permutation selection is periodic availability with one group,
-        # available for the whole run
-        G, B, offset = ((spec.G, spec.B, spec.offset) if spec.kind == "periodic"
-                        else (1, T, 0))
-        if G * B + T > 2**63:
-            raise ValueError(f"periodic pattern needs G*B + T <= 2**63, so that "
-                             f"every round position fits int64; got G*B={G * B}, T={T}")
-        size = N // G
-        pos = np.arange(T) + (offset if isinstance(offset, int)
-                              else int(rng.integers(G * B)))
-        # within each availability block, a fresh permutation of the group
-        # serves at most rounds_per_perm rounds, S clients a round, so it
-        # never runs short (regularized selection among the available)
-        rounds_per_perm = max(size // spec.S, 1)
-        fresh = pos % B % rounds_per_perm == 0
-        fresh[0] = True
-        starts = np.flatnonzero(fresh)
-        # a block starts a permutation, so each one shuffles a single group
-        perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
-        # each permutation's first S * (rounds it serves) entries, in order
-        served = np.diff(starts, append=T)[:, None] * spec.S
-        chosen = perms[np.arange(size) < served].reshape(T, spec.S)
-        np.put_along_axis(weights, chosen, 1.0 / spec.S, axis=1)
+    elif spec.kind == "markov":
+        fallback = _markov_fill(rng, spec, chosen)
 
-    else:  # markov
-        fallback = _markov_fill(rng, spec, weights)
+    else:
+        _periodic_fill(rng, spec, chosen)
 
-    return WeightSchedule(weights=weights, pattern=spec.describe(), seed=int(seed),
+    k = chosen.sum(axis=1)
+    idx = np.flatnonzero(chosen)
+    idx %= N
+    return WeightSchedule(indptr=_row_pointers(k), idx=idx, q=np.repeat(1.0 / k, k),
+                          N=N, pattern=spec.describe(), seed=int(seed),
                           fallback_rounds=fallback)
 
 
@@ -245,17 +330,22 @@ class SimplexReport:
 
 
 def verify_simplex(schedule: WeightSchedule, strict: bool = False) -> SimplexReport:
-    w = schedule.weights
-    with np.errstate(invalid="ignore"):    # inf - inf: a NaN sum, caught below
-        row_err = np.abs(w.sum(axis=1) - 1.0)
-    neg = w.min()
+    T = schedule.T
+    row_err, row_min, row_sq = np.empty(T), np.empty(T), np.empty(T)
+    rows = max(1, _BLOCK_ENTRIES // schedule.N)
+    for lo in range(0, T, rows):
+        w = schedule[lo:lo + rows]
+        with np.errstate(invalid="ignore"):    # inf - inf: a NaN sum, caught below
+            row_err[lo:lo + rows] = np.abs(w.sum(axis=1) - 1.0)
+        row_min[lo:lo + rows] = w.min(axis=1)
+        row_sq[lo:lo + rows] = np.sum(w**2, axis=1)
     # "not within tolerance", so a row with a non-finite weight (its sum is
     # NaN or inf) is a bad round
-    bad = np.nonzero(~(row_err <= SIMPLEX_TOL) | (w.min(axis=1) < 0))[0]
+    bad = np.nonzero(~(row_err <= SIMPLEX_TOL) | (row_min < 0))[0]
     report = SimplexReport(ok=bad.size == 0,
                            max_row_error=float(row_err.max()),
-                           min_weight=float(neg),
-                           rho2=float(np.max(np.sum(w**2, axis=1))),
+                           min_weight=float(row_min.min()),
+                           rho2=float(np.max(row_sq)),
                            bad_rounds=bad[:20].tolist())
     if strict and not report.ok:
         raise ValueError(f"simplex violation in rounds {report.bad_rounds} "
@@ -308,9 +398,26 @@ def _pairwise_total(n: int, sums) -> float:
     return _pairwise_total(n2, sums) + _pairwise_total(n - n2, sums)
 
 
-def _lag_means(flat: np.ndarray, mu: float, shifts) -> list:
+def _centered(flat, a: int, b: int, mu: float, out: np.ndarray):
+    """out[:] = flat[a:b] - mu, for a 1-D array or a schedule read as its
+    dense weights in row-major order (an absent weight is 0.0 - mu)."""
+    if isinstance(flat, np.ndarray):
+        np.subtract(flat[a:b], mu, out=out)
+        return
+    N, indptr = flat.N, flat.indptr
+    t0, t1 = a // N, -(-b // N)
+    lo, hi = indptr[t0], indptr[t1]
+    pos = np.repeat(np.arange(t0 * N, t1 * N, N), np.diff(indptr[t0:t1 + 1]))
+    pos += flat.idx[lo:hi]
+    inside = (pos >= a) & (pos < b)
+    out.fill(0.0 - mu)
+    out[pos[inside] - a] = flat.q[lo:hi][inside] - mu
+
+
+def _lag_means(flat, mu: float, shifts) -> list:
     """np.mean((flat[:n - s] - mu) * (flat[s:] - mu)) for each shift s < n,
-    bit for bit, in O(window) memory.
+    bit for bit, in O(window) memory.  `flat` is a 1-D array, or a schedule
+    read as its dense weights in row-major order.
 
     Each lag's sum is split down numpy's pairwise tree to leaves; a leaf is
     summed by np.add.reduce on a contiguous buffer and the leaf sums are
@@ -318,22 +425,24 @@ def _lag_means(flat: np.ndarray, mu: float, shifts) -> list:
     order of position, so one centered window serves every lag and is
     refilled only when a leaf and its shifted partner do not fit.
     """
-    size = flat.size
+    size = flat.size if isinstance(flat, np.ndarray) else flat.T * flat.N
     nodes = sorted((a, b, k) for k, s in enumerate(shifts)
                    for a, b in _pairwise_leaves(0, size - s))
     win = np.empty(min(_LAG_WINDOW, size))
     prod = np.empty(min(_LAG_LEAF, size))
+    other = np.empty_like(prod)         # the shifted leaf of a wide pair
     start, stop = 0, 0                  # the part of flat centered in win
     sums = [[] for _ in shifts]
     for a, b, k in nodes:
         s, m = shifts[k], b - a
         if m + s > win.size:            # the pair is wider than a window
-            np.subtract(flat[a:b], mu, out=prod[:m])
-            prod[:m] *= flat[a + s:b + s] - mu
+            _centered(flat, a, b, mu, prod[:m])
+            _centered(flat, a + s, b + s, mu, other[:m])
+            prod[:m] *= other[:m]
         else:
             if a < start or b + s > stop:
                 start, stop = a, min(a + win.size, size)
-                np.subtract(flat[start:stop], mu, out=win[:stop - start])
+                _centered(flat, start, stop, mu, win[:stop - start])
             np.multiply(win[a - start:b - start], win[a + s - start:b + s - start],
                         out=prod[:m])
         sums[k].append(float(np.add.reduce(prod[:m])))
@@ -341,30 +450,34 @@ def _lag_means(flat: np.ndarray, mu: float, shifts) -> list:
             for s, leaf_sums in zip(shifts, sums)]
 
 
-def window_averages(schedule: WeightSchedule, P: int, max_lag: int = 0) -> WindowStats:
+def window_averages(schedule: WeightSchedule, P: int,
+                    max_lag: int | None = None) -> WindowStats:
     """Averages of the weights over aligned windows of P rounds, with the
-    pooled autocovariances of q_t^n at lags 0..max_lag.
+    pooled autocovariances of q_t^n at lags 0..max_lag (none by default).
 
-    lag_cov[p] is bit for bit np.mean of the (T - p) * N lag-p products
-    (q_t^n - 1/N) * (q_{t+p}^n - 1/N), summed in numpy's pairwise order;
-    lags p >= T have no products and are NaN.  The lags take memory of the
-    order of one window (`_LAG_WINDOW` doubles), not of T * N.
+    The windows are averaged a block of whole windows at a time, each block
+    dense.  lag_cov[p] is bit for bit np.mean of the (T - p) * N lag-p
+    products (q_t^n - 1/N) * (q_{t+p}^n - 1/N), summed in numpy's pairwise
+    order; lags p >= T have no products and are NaN.  The lags take memory
+    of the order of one window (`_LAG_WINDOW` doubles), not of T * N.
     """
     if not 1 <= P <= schedule.T:
         raise ValueError(f"need 1 <= P <= T, got P={P}, T={schedule.T}")
-    if max_lag < 0:
+    if max_lag is not None and max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     T, N = schedule.T, schedule.N
     n_windows = T // P
-    used = schedule.weights[:n_windows * P]
-    qbar = used.reshape(n_windows, P, N).mean(axis=1)
+    qbar = np.empty((n_windows, N))
+    per_block = max(1, _BLOCK_ENTRIES // (P * N))
+    for lo in range(0, n_windows, per_block):
+        hi = min(lo + per_block, n_windows)
+        qbar[lo:hi] = schedule[lo * P:hi * P].reshape(hi - lo, P, N).mean(axis=1)
     mu = 1.0 / N
     dev2 = (qbar - mu) ** 2
     var_qbar = float(dev2.mean())
-    lags = np.full(max_lag + 1, np.nan)
-    n_lags = min(max_lag, T - 1) + 1
-    lags[:n_lags] = _lag_means(np.ravel(schedule.weights), mu,
-                               [p * N for p in range(n_lags)])
+    lags = np.full(0 if max_lag is None else max_lag + 1, np.nan)
+    n_lags = min(len(lags), T)
+    lags[:n_lags] = _lag_means(schedule, mu, [p * N for p in range(n_lags)])
     return WindowStats(P=P, qbar=qbar, mu=mu, deviations_sq=dev2,
                        var_qbar=var_qbar, lag_cov=lags,
                        dropped_rounds=T - n_windows * P)

@@ -80,7 +80,7 @@ class TestDivergence:
     def test_validate_tolerance_scales_with_d2(self):
         # the 3-round mean of 114874.872 is one ulp longer, so delta2 tops
         # beta2 by 3.8e-6: round-off at d2 ~ 1.3e10, not an inconsistency
-        sched = fa.WeightSchedule(weights=np.ones((3, 1)), pattern="manual", seed=0)
+        sched = fa.WeightSchedule.from_dense(np.ones((3, 1)), pattern="manual", seed=0)
         rep = fa.divergence_at_offsets(np.array([[[114874.872]]]), sched, 3)
         assert rep.delta2 > rep.beta2 + 1e-10
         rep.validate()
@@ -135,7 +135,7 @@ class TestDecomposition:
         pop = fa.build_quadratic(N=2, m=2, L=1.0, spread=1.0, seed=40)
         w = np.zeros((1, 2))
         w[0, 0] = 1.0
-        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
         rep = fa.divergence_at_offsets(
             fa.sample_offsets(pop, pop.x_star[None, :]), sched, sched.T)
         off0 = float(np.sum(pop.gradient_offsets()[0] ** 2))

@@ -362,7 +362,7 @@ class TestTraceAndValidation:
         pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=0.5, seed=31)
         w = np.full((4, 3), 1 / 3.0)
         w[1] = [0.5, 0.7, -0.2]
-        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
         cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=2,
                            rounds=4, x0=np.ones(2), mode=mode)
         with pytest.raises(ValueError, match=r"simplex violation in rounds \[1\]"):

@@ -203,6 +203,29 @@ class TestCliRun:
         assert code == 1
         assert "minibatch" in capsys.readouterr().err
 
+    MINIBATCH_PLANNED = ["population.kind=logistic", "population.noise=none",
+                         "run.minibatch=4", "run.planner=cor3.2", "run.gap=1.0"]
+
+    def test_minibatch_with_planner_is_config_error(self, cfg_file):
+        # the planners need sigma, and a minibatch gradient supplies none; the
+        # run was planned as if sigma = 0
+        from fedamp.config import build_run_config
+        cfg = fa.load_config(cfg_file, self.MINIBATCH_PLANNED)
+        pop = build_population(cfg)
+        sched = build_schedule(cfg, pop.N, 64, 0)
+        with pytest.raises(fa.ConfigError, match="planner"):
+            build_run_config(cfg, pop, sched, 0)
+
+    def test_minibatch_with_planner_exit_1(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["run", "--config", cfg_file, "--out", str(out),
+                     *(arg for opt in self.MINIBATCH_PLANNED for arg in ("--set", opt))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a planner needs the gradient noise sigma")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("settings,message", [
         # the run was bit for bit the noiseless one
         (["run.minibatch=4"],

@@ -46,7 +46,7 @@ class TestSimplexAndRho:
     def test_verify_simplex_catches_bad_rows(self):
         w = np.full((4, 3), 1 / 3.0)
         w[2] = [0.6, 0.6, 0.0]     # sums to 1.2
-        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
         report = fa.verify_simplex(sched)
         assert not report.ok
         assert report.bad_rounds == [2]
@@ -58,7 +58,7 @@ class TestSimplexAndRho:
     def test_verify_simplex_catches_non_finite_weights(self, row):
         w = np.full((3, 3), 1 / 3.0)
         w[1] = row
-        sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+        sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
         assert fa.verify_simplex(sched).bad_rounds == [1]
         with pytest.raises(ValueError, match=r"rounds \[1\]"):
             fa.verify_simplex(sched, strict=True)
@@ -181,6 +181,22 @@ class TestDeterminismAndIO:
         with pytest.raises(ValueError, match=f"line {last} "):
             fa.load_schedule_csv(path, N=N)
 
+    @pytest.mark.parametrize("row", ["9223372036854775807,0,1",    # T = 2**63
+                                     "0,9223372036854775808,1"])
+    def test_load_rejects_indices_beyond_int64(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,n,q\n" + row + "\n")
+        with pytest.raises(ValueError, match="line 2 .*need 0 <= t < 2\\*\\*63 - 1"):
+            fa.load_schedule_csv(path)
+
+    def test_load_drops_explicit_zeros(self, tmp_path):
+        path = tmp_path / "zeros.csv"
+        path.write_text("t,n,q\n1,1,1.0\n0,2,0.0\n0,0,1\n2,0,0\n2,2,1\n")
+        sched = fa.load_schedule_csv(path)
+        assert (sched.T, sched.N) == (3, 3)
+        assert sched.indptr.tolist() == [0, 1, 2, 3]
+        assert sched.idx.tolist() == [0, 1, 2] and sched.q.tolist() == [1.0] * 3
+
     def test_load_rejects_non_simplex(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,n,q\n0,0,0.5\n0,1,0.9\n")
@@ -253,3 +269,33 @@ class TestWindowAverages:
         finally:
             tracemalloc.stop()
         assert peak < sched.weights.nbytes / 4
+
+
+class TestScheduleMemory:
+    """Schedules are stored as sparse rows, so generating and checking one
+    stays below the size of its dense (T, N) float weights."""
+
+    def test_chebyshev_check_at_benchmark_size_below_dense_weights(self):
+        from fedamp.config import SCHEMA
+        P_list = SCHEMA[("bounds", "P_list")][1]
+        trials = SCHEMA[("bounds", "mixing_trials")][1]
+        N = 32
+        spec = fa.PatternSpec("markov", S=8, p_aa=0.9, p_uu=0.8)
+        tracemalloc.start()
+        try:
+            fa.chebyshev_mixing_check(spec, N, P_list, trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(P_list) * trials * N * 8
+
+    def test_independent_generation_below_dense_weights(self):
+        T, N = 131_072, 16
+        tracemalloc.start()
+        try:
+            sched = make("independent", N=N, T=T, S=4, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.idx.size == 4 * T
+        assert peak < T * N * 8

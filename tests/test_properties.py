@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fedamp as fa
-from fedamp import cli, participation
+from fedamp import analysis, cli, participation
 from fedamp.analysis import _round_quantities
 from fedamp.config import SCHEMA, _bool, _fmt, _gap, _int_list, _offset
-from fedamp.engine import _LocalSteps
+from fedamp.engine import MODES, _LocalSteps, _Rounds, amplify
 
 # values k/1000 for |k| <= 10^6: wide range, no subnormal squares
 VALUES = st.integers(-10**6, 10**6).map(lambda k: k / 1000)
@@ -59,7 +59,7 @@ def offset_stacks(draw):
     offsets, w, P = draw(offsets_and_weights())
     more = [draw(hnp.arrays(np.float64, offsets.shape, elements=VALUES))
             for _ in range(draw(st.integers(0, 3)))]
-    sched = fa.WeightSchedule(weights=w, pattern="manual", seed=0)
+    sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
     return np.stack([offsets, *more]), sched, P
 
 
@@ -651,3 +651,297 @@ def test_local_step_rows_do_not_depend_on_who_else_steps(case, data):
         assert row(n, {n}) == row(n, others | {n}) == row(n, range(pop.N)) \
             == (y - x).tobytes()
     event(f"kernel: {'batched' if local.batched else 'per client'}")
+
+
+# ---------------------------------------------------------------------------
+# sparse schedules against the dense (T, N) code they replaced
+# ---------------------------------------------------------------------------
+
+def verify_simplex_reference(w):
+    """verify_simplex on dense weights, verbatim: the report's fields."""
+    with np.errstate(invalid="ignore"):
+        row_err = np.abs(w.sum(axis=1) - 1.0)
+    neg = w.min()
+    bad = np.nonzero(~(row_err <= participation.SIMPLEX_TOL) | (w.min(axis=1) < 0))[0]
+    return (bad.size == 0, float(row_err.max()), float(neg),
+            float(np.max(np.sum(w**2, axis=1))), bad[:20].tolist())
+
+
+def window_averages_reference(w, P, max_lag):
+    """window_averages on dense weights, verbatim: (qbar, dev2, var, lags)."""
+    T, N = w.shape
+    n_windows = T // P
+    qbar = w[:n_windows * P].reshape(n_windows, P, N).mean(axis=1)
+    mu = 1.0 / N
+    dev2 = (qbar - mu) ** 2
+    lags = np.full(max_lag + 1, np.nan)
+    n_lags = min(max_lag, T - 1) + 1
+    lags[:n_lags] = participation._lag_means(np.ravel(w), mu,
+                                             [p * N for p in range(n_lags)])
+    return qbar, dev2, float(dev2.mean()), lags
+
+
+def divergence_reference(offsets, w, P):
+    """divergence_at_offsets on dense weights, verbatim, with its
+    _round_quantities: the report's fields."""
+    def round_quantities(offs):
+        T = w.shape[0]
+        block = analysis._ROUND_BLOCK
+        beta_t, nu_t = np.empty(T), np.empty(T)
+        for lo in range(0, T, block):
+            wb = w[lo:lo + block]
+            b = wb @ offs
+            beta_t[lo:lo + block] = np.sum(b**2, axis=1)
+            diff = offs[None, :, :] - b[:, None, :]
+            nu_t[lo:lo + block] = np.einsum("tn,tnm->t", wb, diff**2)
+        weighted_d2 = w @ np.sum(offs**2, axis=1)
+        n_windows = T // P
+        delta2 = 0.0
+        if n_windows:
+            b = w[:n_windows * P] @ offs
+            win = b.reshape(n_windows, P, -1).mean(axis=1)
+            delta2 = float(np.max(np.sum(win**2, axis=1)))
+        return beta_t, nu_t, weighted_d2, delta2
+
+    per_point = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offs in offsets:
+            beta_t, nu_t, lhs, delta2 = round_quantities(offs)
+            rhs = beta_t + nu_t
+            residual = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-30)
+            per_point.append([np.max(np.sum(offs**2, axis=1)), beta_t.max(),
+                              nu_t.max(), delta2, rhs.max(), residual.max()])
+    return np.max(per_point, axis=0)
+
+
+def run_reference(pop, noise, schedule, cfg, seed):
+    """run and run_wait_baseline on dense weights, verbatim, except that the
+    dense array is read from the schedule once."""
+    weights = schedule.weights
+    rounds = _Rounds(pop, noise, schedule, cfg, seed)
+    P, T = cfg.amplify_every, cfg.rounds
+    if cfg.mode != "generalized":
+        gen = np.random.Generator(np.random.Philox())
+
+        def update(t, x):
+            if (t + 1) % P:
+                return True
+            t_start = t + 1 - P
+            window = weights[t_start:t + 1]
+            clients, offsets = np.nonzero(window.T)
+            appearing = {}
+            for n, tr in zip(clients.tolist(), (offsets + t_start).tolist()):
+                appearing.setdefault(n, []).append(tr)
+            step = np.zeros(pop.m)
+            for n, rounds_n in appearing.items():
+                if cfg.mode == "wait_full":
+                    g = pop.grad(n, x)
+                else:
+                    g = np.zeros(pop.m)
+                    for tr in rounds_n:
+                        rng = fa.substream(seed, "local", tr, n, reuse=gen)
+                        g += pop.stochastic_grad(noise, n, x, rng, cfg.minibatch)
+                    g /= len(rounds_n)
+                step += -cfg.gamma * cfg.local_steps * g
+            x += step / len(appearing)
+            return np.isfinite(x).all()
+
+        return rounds.loop(np.array(cfg.x0, dtype=float), update)
+    u = np.zeros(pop.m)
+    x_start = np.array(cfg.x0, dtype=float)
+    per_round = np.count_nonzero(weights[:T] > 0, axis=1)
+    local = _LocalSteps(pop, noise, cfg, seed, int(per_round.max(initial=0)))
+
+    def update(t, x):
+        q = weights[t]
+        active = (q > 0).nonzero()[0]
+        deltas = local(active, x, t)
+        deltas *= q[active][:, None]
+        step = deltas.sum(axis=0)
+        x += step
+        np.add(u, step, out=u)
+        if (t + 1) % P == 0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = np.linalg.norm((x - x_start) - u)
+                rel = residual / max(np.linalg.norm(x), 1e-30)
+            if np.isfinite(rel):
+                rounds.max_residual = max(rounds.max_residual, rel)
+            amplify(x, u, cfg.eta)
+            x_start[:] = x
+        return np.isfinite(x).all()
+
+    return rounds.loop(x_start.copy(), update)
+
+
+def independent_reference(rng, S, N, T):
+    """The independent generator as one (T, N) draw into dense weights."""
+    weights = np.zeros((T, N))
+    sel = np.argpartition(rng.random((T, N)), S - 1, axis=1)[:, :S]
+    np.put_along_axis(weights, sel, 1.0 / S, axis=1)
+    return weights
+
+
+def same_rows(a, b):
+    """Two schedules hold the same rows, bit for bit."""
+    return (a.T, a.N) == (b.T, b.N) and all(
+        x.tobytes() == y.tobytes() and x.dtype == y.dtype
+        for x, y in ((a.indptr, b.indptr), (a.idx, b.idx), (a.q, b.q)))
+
+
+@st.composite
+def schedules(draw):
+    """A generated schedule of any kind, or a hand-built one with unequal
+    weights, and patched block sizes, so that passes cross blocks."""
+    if draw(st.booleans()):
+        spec, N, T, seed = draw(patterns())
+        sched = fa.generate_schedule(spec, N, T, seed)
+    else:
+        _, w, _ = draw(offsets_and_weights())
+        sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
+    return sched, draw(st.sampled_from([1, 3, 16, 64, 1 << 17]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_sparse_rows_round_trip_through_dense(case):
+    spec, N, T, seed = case
+    sched = fa.generate_schedule(spec, N, T, seed)
+    w = sched.weights
+    back = fa.WeightSchedule.from_dense(w, sched.pattern, sched.seed,
+                                        sched.fallback_rounds)
+    assert same_rows(back, sched)
+    assert (back.pattern, back.seed, back.fallback_rounds) == \
+        (sched.pattern, sched.seed, sched.fallback_rounds)
+    assert back.weights.tobytes() == w.tobytes()
+    assert w.shape == (T, N)
+    for t in range(T):      # rows strictly ascending, every weight stored
+        row = sched.idx[sched.indptr[t]:sched.indptr[t + 1]]
+        assert (np.diff(row) > 0).all()
+        assert (w[t, row] != 0).all() and np.count_nonzero(w[t]) == len(row)
+    lo, hi = sorted((seed % (T + 1), (seed // 7) % (T + 1)))
+    assert sched[lo:hi].tobytes() == w[lo:hi].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedules())
+def test_csv_round_trip_is_exact(case):
+    sched, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sched.csv"
+        sched.to_csv(path)
+        back = fa.load_schedule_csv(path, N=sched.N)
+    assert same_rows(back, sched)
+    assert back.weights.tobytes() == sched.weights.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 300), st.integers(0, 2**32), st.data())
+def test_independent_matches_one_shot_draw(N, T, seed, data):
+    S = data.draw(st.integers(1, N), label="S")
+    block = data.draw(st.sampled_from([1, 7, 64, 1 << 17]), label="block entries")
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
+        sched = fa.generate_schedule(fa.PatternSpec("independent", S=S), N, T, seed)
+    ref = independent_reference(fa.substream(seed, "schedule"), S, N, T)
+    assert sched.weights.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedules(), st.data())
+def test_sparse_reductions_match_dense(case, data):
+    sched, block = case
+    w = sched.weights
+    P = data.draw(st.integers(1, sched.T), label="P")
+    max_lag = data.draw(st.integers(0, sched.T + 3), label="max_lag")
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block), \
+            small_lag_pass(data):
+        rep = fa.verify_simplex(sched)
+        stats = fa.window_averages(sched, P, max_lag=max_lag)
+        ref = window_averages_reference(w, P, max_lag)
+    assert np.array([rep.ok, rep.max_row_error, rep.min_weight, rep.rho2]).tobytes() \
+        == np.array(verify_simplex_reference(w)[:4]).tobytes()
+    assert rep.bad_rounds == verify_simplex_reference(w)[4]
+    for got, expect in zip((stats.qbar, stats.deviations_sq, stats.var_qbar,
+                            stats.lag_cov), ref):
+        assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+    assert fa.window_averages(sched, P).lag_cov.size == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset_stacks())
+def test_sparse_divergence_matches_dense(case):
+    offsets, sched, P = case
+    rep = fa.divergence_at_offsets(offsets, sched, P)
+    got = [rep.d2, rep.beta2, rep.nu2, rep.delta2, rep.max_round_sum,
+           rep.decomposition_residual]
+    assert np.array(got).tobytes() == divergence_reference(offsets, sched.weights,
+                                                           P).tobytes()
+
+
+@pytest.mark.parametrize("T,P", [(1025, 1), (1025, 4), (1500, 1025), (2049, 3),
+                                 (2049, 2049), (2050, 1025), (3072, 5)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_sparse_divergence_matches_dense_across_round_blocks(T, P, m):
+    # 1-row tails past a multiple of _ROUND_BLOCK, in T or in the windowed rows
+    rng = np.random.default_rng(T * 10 + m)
+    N = 12
+    specs = [fa.PatternSpec("markov", S=4, p_aa=0.7, p_uu=0.6),
+             fa.PatternSpec("permutation", S=3), fa.PatternSpec("full")]
+    raw = rng.random((T, N)) * (rng.random((T, N)) < 0.4)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    scheds = [fa.generate_schedule(s, N, T, T + m) for s in specs]
+    scheds.append(fa.WeightSchedule.from_dense(raw / raw.sum(axis=1, keepdims=True),
+                                               "manual", 0))
+    offsets = rng.normal(size=(2, N, m))
+    for sched in scheds:
+        rep = fa.divergence_at_offsets(offsets, sched, P)
+        got = [rep.d2, rep.beta2, rep.nu2, rep.delta2, rep.max_round_sum,
+               rep.decomposition_residual]
+        assert np.array(got).tobytes() == divergence_reference(
+            offsets, sched.weights, P).tobytes()
+
+
+def test_negative_and_nan_weights_kept_for_verify_simplex():
+    w = np.array([[0.5, 0.7, -0.2], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.25, -0.0, 0.75]])
+    sched = fa.WeightSchedule.from_dense(w, "manual", 0)
+    assert sched.indptr.tolist() == [0, 3, 5, 6, 8]
+    assert sched.weights.tobytes() == np.where(w == 0, 0.0, w).tobytes()
+    rep = fa.verify_simplex(sched)
+    ok, err, neg, rho2, bad = verify_simplex_reference(w)
+    assert not rep.ok and rep.bad_rounds == bad == [0, 1]
+    assert np.array([err, neg, rho2]).tobytes() == \
+        np.array([rep.max_row_error, rep.min_weight, rep.rho2]).tobytes()
+    with pytest.raises(ValueError, match=r"rounds \[0, 1\]"):
+        fa.verify_simplex(sched, strict=True)
+
+
+@st.composite
+def small_runs_all_modes(draw):
+    """A run of any mode, on a generated schedule or on hand-built unequal
+    weights."""
+    pop, noise, sched, T, Ps, I, seed = draw(small_runs())
+    if draw(st.booleans()):
+        raw = draw(hnp.arrays(np.float64, (T, pop.N), elements=st.one_of(
+            st.just(0.0), st.floats(1e-3, 1.0))))
+        raw[raw.sum(axis=1) == 0, draw(st.integers(0, pop.N - 1))] = 1.0
+        sched = fa.WeightSchedule.from_dense(raw / raw.sum(axis=1, keepdims=True),
+                                             "manual", 0)
+    cfg = fa.RunConfig(gamma=0.05, eta=draw(st.sampled_from([1.0, 2.5])),
+                       local_steps=I, amplify_every=Ps[0], rounds=T,
+                       x0=np.ones(pop.m), eval_every=draw(st.integers(0, 3)) or None,
+                       mode=draw(st.sampled_from(MODES)))
+    return pop, noise, sched, cfg, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_runs_all_modes())
+def test_sparse_run_matches_dense(case):
+    pop, noise, sched, cfg, seed = case
+    got = fa.run(pop, noise, sched, cfg, seed)
+    ref = run_reference(pop, noise, sched, cfg, seed)
+    for name in ("t", "f", "grad_norm_sq", "min_grad_norm_sq", "is_boundary",
+                 "x_final"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    assert (got.diverged_round, got.max_boundary_residual, got.meta) == \
+        (ref.diverged_round, ref.max_boundary_residual, ref.meta)
+    event(f"mode: {cfg.mode}")
