@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,27 +188,27 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
 # temporaries stay small whatever N is
 _MARKOV_BLOCK_DRAWS = 1 << 17
 # the same bound for every other pass over the rows: the independent
-# generator's draws and the dense blocks of the reductions
+# generator's draws, the dense blocks and segment sums of the reductions,
+# and the bitset rows of the lag pass
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _independent_fill(rng, S: int, chosen: np.ndarray):
-    """Mark S clients of every round in the (T, N) `chosen`, those of the S
+def _independent_rows(rng, N: int, rows: np.ndarray):
+    """Write into the (T, S) `rows` each round's clients, those of the S
     smallest of N uniform scores.  Scores drawn in row blocks equal one
     (T, N) draw, and argpartition picks each row's S from that row alone."""
-    T, N = chosen.shape
-    rows = max(1, _BLOCK_ENTRIES // N)
-    for lo in range(0, T, rows):
-        scores = rng.random((min(rows, T - lo), N))
-        np.put_along_axis(chosen[lo:lo + len(scores)],
-                          np.argpartition(scores, S - 1, axis=1)[:, :S], True, axis=1)
+    T, S = rows.shape
+    per_block = max(1, _BLOCK_ENTRIES // N)
+    for lo in range(0, T, per_block):
+        scores = rng.random((min(per_block, T - lo), N))
+        rows[lo:lo + len(scores)] = np.argpartition(scores, S - 1, axis=1)[:, :S]
 
 
-def _periodic_fill(rng, spec: PatternSpec, chosen: np.ndarray):
-    """Mark a periodic or permutation schedule's clients in the (T, N)
-    `chosen`.  Permutation selection is periodic availability with one
+def _periodic_rows(rng, spec: PatternSpec, N: int, rows: np.ndarray):
+    """Write into the (T, S) `rows` a periodic or permutation schedule's
+    clients.  Permutation selection is periodic availability with one
     group, available for the whole run."""
-    T, N = chosen.shape
+    T = len(rows)
     G, B, offset = ((spec.G, spec.B, spec.offset) if spec.kind == "periodic"
                     else (1, T, 0))
     if G * B + T > 2**63:
@@ -227,8 +228,7 @@ def _periodic_fill(rng, spec: PatternSpec, chosen: np.ndarray):
     perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
     # each permutation's first S * (rounds it serves) entries, in order
     served = np.diff(starts, append=T)[:, None] * spec.S
-    np.put_along_axis(chosen, perms[np.arange(size) < served].reshape(T, spec.S),
-                      True, axis=1)
+    np.compress((np.arange(size) < served).ravel(), perms, out=rows.reshape(-1))
 
 
 def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
@@ -284,35 +284,38 @@ def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
 def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSchedule:
     """Seeded, bit-reproducible schedule for the given pattern.
 
-    Each pattern marks its clients in a (T, N) boolean mask, one byte an
-    entry; the rows are read off it in client order, with weight 1/k for
-    the k clients of a round.
+    Every kind but Markov writes its (T, S) client rows directly, sorted,
+    with weight 1/S each.  Markov's availability chain marks its clients
+    in a (T, N) boolean mask; its rows are read off the mask in client
+    order, with weight 1/k for the k clients of a round.
     """
     spec.validate(N)
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     rng = substream(seed, "schedule")
-    chosen = np.zeros((T, N), dtype=bool)
     fallback = 0
 
-    if spec.kind == "full":
-        chosen[:] = True
-
-    elif spec.kind == "independent":
-        _independent_fill(rng, spec.S, chosen)
-
-    elif spec.kind == "markov":
+    if spec.kind == "markov":
+        chosen = np.zeros((T, N), dtype=bool)
         fallback = _markov_fill(rng, spec, chosen)
+        k = chosen.sum(axis=1)
+        indptr, idx, q = _row_pointers(k), np.flatnonzero(chosen), np.repeat(1.0 / k, k)
+        idx %= N
 
     else:
-        _periodic_fill(rng, spec, chosen)
+        S = N if spec.kind == "full" else spec.S
+        rows = np.empty((T, S), dtype=np.int64)
+        if spec.kind == "full":
+            rows[:] = np.arange(N)
+        elif spec.kind == "independent":
+            _independent_rows(rng, N, rows)
+        else:
+            _periodic_rows(rng, spec, N, rows)
+        rows.sort(axis=1)
+        indptr, idx, q = np.arange(T + 1) * S, rows.reshape(-1), np.full(T * S, 1.0 / S)
 
-    k = chosen.sum(axis=1)
-    idx = np.flatnonzero(chosen)
-    idx %= N
-    return WeightSchedule(indptr=_row_pointers(k), idx=idx, q=np.repeat(1.0 / k, k),
-                          N=N, pattern=spec.describe(), seed=int(seed),
-                          fallback_rounds=fallback)
+    return WeightSchedule(indptr=indptr, idx=idx, q=q, N=N, pattern=spec.describe(),
+                          seed=int(seed), fallback_rounds=fallback)
 
 
 def rho_bound(schedule: WeightSchedule) -> float:
@@ -365,89 +368,77 @@ class WindowStats:
     dropped_rounds: int         # trailing partial window excluded
 
 
-# leaf and window sizes of the lag-covariance pass, in doubles: a node of
-# at most one leaf is summed in one call, and both ends of a lag product
-# come from one centered window of the weights.  A leaf must be at least
-# numpy's unsplit block of 128 items.
-_LAG_LEAF = 1 << 15
-_LAG_WINDOW = 1 << 18
+def _lag_cov_exact(schedule: WeightSchedule, n_lags: int) -> list | None:
+    """lag_cov[:n_lags], each the exact mean rounded once, of a schedule whose
+    every row t holds k_t >= 1 equal weights fl(1/k_t); else None.
 
-
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits a node of n items; 0 for a leaf."""
-    if n <= _LAG_LEAF:
-        return 0
-    return n // 2 - (n // 2) % 8
-
-
-def _pairwise_leaves(lo: int, n: int):
-    """Yield the (start, stop) leaves of the pairwise tree over lo..lo+n."""
-    n2 = _pairwise_split(n)
-    if not n2:
-        yield lo, lo + n
-        return
-    yield from _pairwise_leaves(lo, n2)
-    yield from _pairwise_leaves(lo + n2, n - n2)
-
-
-def _pairwise_total(n: int, sums) -> float:
-    """Add the leaf sums of `_pairwise_leaves(0, n)`, in order, up its tree."""
-    n2 = _pairwise_split(n)
-    if not n2:
-        return next(sums)
-    return _pairwise_total(n2, sums) + _pairwise_total(n - n2, sums)
-
-
-def _centered(flat, a: int, b: int, mu: float, out: np.ndarray):
-    """out[:] = flat[a:b] - mu, for a 1-D array or a schedule read as its
-    dense weights in row-major order (an absent weight is 0.0 - mu)."""
-    if isinstance(flat, np.ndarray):
-        np.subtract(flat[a:b], mu, out=out)
-        return
-    N, indptr = flat.N, flat.indptr
-    t0, t1 = a // N, -(-b // N)
-    lo, hi = indptr[t0], indptr[t1]
-    pos = np.repeat(np.arange(t0 * N, t1 * N, N), np.diff(indptr[t0:t1 + 1]))
-    pos += flat.idx[lo:hi]
-    inside = (pos >= a) & (pos < b)
-    out.fill(0.0 - mu)
-    out[pos[inside] - a] = flat.q[lo:hi][inside] - mu
-
-
-def _lag_means(flat, mu: float, shifts) -> list:
-    """np.mean((flat[:n - s] - mu) * (flat[s:] - mu)) for each shift s < n,
-    bit for bit, in O(window) memory.  `flat` is a 1-D array, or a schedule
-    read as its dense weights in row-major order.
-
-    Each lag's sum is split down numpy's pairwise tree to leaves; a leaf is
-    summed by np.add.reduce on a contiguous buffer and the leaf sums are
-    added back up the same tree.  The leaves of all lags are visited in
-    order of position, so one centered window serves every lag and is
-    refilled only when a leaf and its shifted partner do not fit.
+    Rounds t and t + p with k and k' clients, c of them shared, have N - k
+    - k' + c clients in neither, so with a = q_t, b = q_{t+p} and mu = 1/N
+    their centered products add up to c*a*b - mu*(k*a + k'*b) + N*mu**2.
+    The counts c are popcounts of the rows packed into 64-bit words; summed
+    per (k, k') class of pairs they are integers, so each lag's sum is an
+    exact Fraction.  The class of two rows of a block's most common length
+    is counted from the block totals, without a gather.
     """
-    size = flat.size if isinstance(flat, np.ndarray) else flat.T * flat.N
-    nodes = sorted((a, b, k) for k, s in enumerate(shifts)
-                   for a, b in _pairwise_leaves(0, size - s))
-    win = np.empty(min(_LAG_WINDOW, size))
-    prod = np.empty(min(_LAG_LEAF, size))
-    other = np.empty_like(prod)         # the shifted leaf of a wide pair
-    start, stop = 0, 0                  # the part of flat centered in win
-    sums = [[] for _ in shifts]
-    for a, b, k in nodes:
-        s, m = shifts[k], b - a
-        if m + s > win.size:            # the pair is wider than a window
-            _centered(flat, a, b, mu, prod[:m])
-            _centered(flat, a + s, b + s, mu, other[:m])
-            prod[:m] *= other[:m]
-        else:
-            if a < start or b + s > stop:
-                start, stop = a, min(a + win.size, size)
-                _centered(flat, start, stop, mu, win[:stop - start])
-            np.multiply(win[a - start:b - start], win[a + s - start:b + s - start],
-                        out=prod[:m])
-        sums[k].append(float(np.add.reduce(prod[:m])))
-    return [_pairwise_total(size - s, iter(leaf_sums)) / (size - s)
-            for s, leaf_sums in zip(shifts, sums)]
+    from fractions import Fraction    # here, so that importing fedamp stays lean
+
+    T, N, indptr, idx = schedule.T, schedule.N, schedule.indptr, schedule.idx
+    shared = [Counter() for _ in range(n_lags)]   # per lag and class k*(N+1) + k':
+    pairs = [Counter() for _ in range(n_lags)]    # the sum of c, and the pairs
+    n_words = -(-N // 64)
+    per_block, pack_rows = max(1, _BLOCK_ENTRIES // n_words), max(1, _BLOCK_ENTRIES // N)
+    for lo in range(0, T, per_block):
+        hi = min(lo + per_block + n_lags - 1, T)      # rows t + p of the block's t
+        # each row as a bitset of its clients: a row's clients ascend, so
+        # a word's bits are consecutive entries, set by one OR-reduction
+        words = np.zeros((hi - lo, n_words), dtype=np.uint64)
+        for r0 in range(lo, hi, pack_rows):
+            r1 = min(r0 + pack_rows, hi)
+            k, a, b = np.diff(indptr[r0:r1 + 1]), indptr[r0], indptr[r1]
+            if k.min() < 1 or not np.array_equal(schedule.q[a:b], np.repeat(1.0 / k, k)):
+                return None
+            key = np.repeat(np.arange(r0 - lo, r1 - lo) * n_words, k)
+            key += idx[a:b] >> 6
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            words.reshape(-1)[key[starts]] = np.bitwise_or.reduceat(
+                np.left_shift(1, (idx[a:b] & 63).astype(np.uint64)), starts)
+        k = np.diff(indptr[lo:hi + 1])
+        common = int(np.argmax(np.bincount(k)))
+        minor = k != common
+        for p in range(min(n_lags, T - lo)):
+            n = min(per_block, T - p - lo)
+            sel = np.flatnonzero(minor[:n] | minor[p:p + n])
+            c = np.bitwise_count(words[sel] & words[sel + p]).sum(axis=1)
+            cls, pair_cls = np.unique(k[sel] * (N + 1) + k[sel + p], return_inverse=True)
+            shared[p].update(dict(zip(cls.tolist(), np.bincount(pair_cls, c).tolist())))
+            pairs[p].update(dict(zip(cls.tolist(), np.bincount(pair_cls).tolist())))
+            shared[p][common * (N + 2)] += int(
+                np.bitwise_count(words[:n] & words[p:p + n]).sum() - c.sum())
+            pairs[p][common * (N + 2)] += n - len(sel)
+    mu = Fraction(1.0 / N)
+    lags = []
+    for p in range(n_lags):
+        total = (T - p) * N * mu * mu
+        for g, count in pairs[p].items():
+            k, k2 = divmod(g, N + 1)
+            a, b = Fraction(1.0 / k), Fraction(1.0 / k2)
+            total += int(shared[p][g]) * a * b - count * mu * (k * a + k2 * b)
+        lags.append(float(total / ((T - p) * N)))
+    return lags
+
+
+def _lag_cov_dense(schedule: WeightSchedule, n_lags: int) -> list:
+    """lag_cov[:n_lags] of any schedule: each lag's centered products are
+    summed a dense block of rows at a time, and the block sums in order."""
+    T, N = schedule.T, schedule.N
+    per_block = max(1, _BLOCK_ENTRIES // N)
+    sums = [0.0] * n_lags
+    for lo in range(0, T, per_block):
+        x = schedule[lo:lo + per_block] - 1.0 / N
+        for p in range(min(n_lags, T - lo)):
+            n = min(len(x), T - p - lo)
+            sums[p] += float(np.sum(x[:n] * (schedule[lo + p:lo + p + n] - 1.0 / N)))
+    return [s / ((T - p) * N) for p, s in enumerate(sums)]
 
 
 def window_averages(schedule: WeightSchedule, P: int,
@@ -455,29 +446,37 @@ def window_averages(schedule: WeightSchedule, P: int,
     """Averages of the weights over aligned windows of P rounds, with the
     pooled autocovariances of q_t^n at lags 0..max_lag (none by default).
 
-    The windows are averaged a block of whole windows at a time, each block
-    dense.  lag_cov[p] is bit for bit np.mean of the (T - p) * N lag-p
-    products (q_t^n - 1/N) * (q_{t+p}^n - 1/N), summed in numpy's pairwise
-    order; lags p >= T have no products and are NaN.  The lags take memory
-    of the order of one window (`_LAG_WINDOW` doubles), not of T * N.
+    Each window's averages are segment sums of its rows, added in round
+    order as `reshape(W, P, N).mean(axis=1)` adds them, a block of windows
+    at a time.  lag_cov[p] is the mean of the (T - p) * N lag-p products
+    (q_t^n - 1/N) * (q_{t+p}^n - 1/N), NaN for p >= T.  When every row
+    holds equal weights 1/k_t, as generated ones do, each lag is the exact
+    mean rounded once, in O(T * S) time; other schedules sum each lag's
+    products a dense block of rows at a time.
     """
     if not 1 <= P <= schedule.T:
         raise ValueError(f"need 1 <= P <= T, got P={P}, T={schedule.T}")
     if max_lag is not None and max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    T, N = schedule.T, schedule.N
+    T, N, indptr = schedule.T, schedule.N, schedule.indptr
     n_windows = T // P
     qbar = np.empty((n_windows, N))
     per_block = max(1, _BLOCK_ENTRIES // (P * N))
     for lo in range(0, n_windows, per_block):
         hi = min(lo + per_block, n_windows)
-        qbar[lo:hi] = schedule[lo * P:hi * P].reshape(hi - lo, P, N).mean(axis=1)
+        a, b = indptr[lo * P], indptr[hi * P]
+        key = np.repeat(np.arange(hi - lo) * N, np.diff(indptr[lo * P:hi * P + 1:P]))
+        key += schedule.idx[a:b]
+        np.divide(np.bincount(key, schedule.q[a:b], minlength=(hi - lo) * N), P,
+                  out=qbar[lo:hi].reshape(-1))
     mu = 1.0 / N
     dev2 = (qbar - mu) ** 2
     var_qbar = float(dev2.mean())
     lags = np.full(0 if max_lag is None else max_lag + 1, np.nan)
     n_lags = min(len(lags), T)
-    lags[:n_lags] = _lag_means(schedule, mu, [p * N for p in range(n_lags)])
+    if n_lags:
+        lags[:n_lags] = (_lag_cov_exact(schedule, n_lags)
+                         or _lag_cov_dense(schedule, n_lags))
     return WindowStats(P=P, qbar=qbar, mu=mu, deviations_sq=dev2,
                        var_qbar=var_qbar, lag_cov=lags,
                        dropped_rounds=T - n_windows * P)

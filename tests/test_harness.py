@@ -294,15 +294,16 @@ class TestCliRun:
         assert not out.exists()
 
     def test_unallocatable_size_exit_1(self, cfg_file, tmp_path, capsys):
-        # the (T, N) schedule needs 57 PiB, more than a process can address,
-        # so it fails at once under any overcommit policy: no memory is used
+        # the (T, S) rows of the schedule need 14 PiB, more than a process
+        # can address, so they fail at once under any overcommit policy: no
+        # memory is used
         out = tmp_path / "x"
         code = main(["run", "--config", cfg_file, "--out", str(out),
                      "--set", "run.T=1000000000000000"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate ")
-        assert "shape (1000000000000000, 8)" in err and "[run] T" in err
+        assert "shape (1000000000000000, 2)" in err and "[run] T" in err
         assert "Traceback" not in err
         assert not out.exists()
 

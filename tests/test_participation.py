@@ -1,6 +1,7 @@
 """Participation schedules: simplex structure, pattern statistics, I/O."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -247,16 +248,26 @@ class TestWindowAverages:
         with pytest.raises(ValueError, match="max_lag"):
             fa.window_averages(sched, P=2, max_lag=max_lag)
 
-    def test_lag_cov_bitwise_across_leaves_and_windows(self):
-        # the pass's own leaf and window sizes, with every lag crossing
-        # several leaves and a window refill
-        N, max_lag = 32, 40
-        T = 2 * participation._LAG_WINDOW // N + 77
+    def test_lag_cov_bitwise_across_row_blocks(self):
+        # weights 1/8 and mu = 1/32 are dyadic, so np.mean's sum is exact
+        # and it rounds once, as the exact pass does; small blocks make
+        # every lag cross several row blocks
+        N, max_lag, block = 32, 40, 1 << 12
+        T = 4 * block + 77
         sched = make("markov", N=N, T=T, seed=8, S=8, p_aa=0.9, p_uu=0.8)
         c = sched.weights - 1.0 / N
         expect = [np.mean(c[:T - p] * c[p:]) for p in range(max_lag + 1)]
-        lags = fa.window_averages(sched, P=16, max_lag=max_lag).lag_cov
+        with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
+            lags = fa.window_averages(sched, P=16, max_lag=max_lag).lag_cov
         assert lags.tobytes() == np.array(expect).tobytes()
+
+    @pytest.mark.parametrize("N", [1, 3, 7, 12, 50])
+    def test_full_participation_lag_cov_is_zero(self, N):
+        # every weight is 1/N = mu, so every centered product is 0
+        T = 37
+        lags = fa.window_averages(make("full", N=N, T=T), P=4, max_lag=40).lag_cov
+        assert lags[:T].tobytes() == np.zeros(T).tobytes()
+        assert np.isnan(lags[T:]).all()
 
     def test_lag_pass_allocates_no_schedule_sized_array(self):
         # two float copies of the weights would trace at about 2x nbytes
@@ -299,3 +310,17 @@ class TestScheduleMemory:
             tracemalloc.stop()
         assert sched.idx.size == 4 * T
         assert peak < T * N * 8
+
+    @pytest.mark.parametrize("kind,kw", [("independent", {"S": 4}),
+                                         ("periodic", {"S": 4, "G": 4, "B": 1000})])
+    def test_uniform_generation_allocates_no_mask(self, kind, kw):
+        # a (T, N) bool mask alone would trace at T * N bytes
+        T, N = 32_768, 1024
+        tracemalloc.start()
+        try:
+            sched = make(kind, N=N, T=T, seed=2, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.idx.size == 4 * T
+        assert peak < T * N / 4

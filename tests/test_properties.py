@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -469,43 +470,110 @@ def test_schedule_rows_equal_weights_on_simplex(case):
     assert fa.rho_bound(sched) ** 2 == pytest.approx(inv_k, rel=1e-12)
 
 
-def small_lag_pass(data):
-    """Patch the lag pass's leaf and window sizes small, so short inputs
-    cross leaves, refill windows and hold pairs wider than a window."""
-    leaf = data.draw(st.sampled_from([128, 136, 1024]), label="leaf")
-    window = data.draw(st.sampled_from([128, 136, 300, 1024, 4096]), label="window")
-    return mock.patch.multiple(participation, _LAG_LEAF=leaf, _LAG_WINDOW=window)
+def mask_schedule_reference(spec, N, T, seed):
+    """generate_schedule as it was when every kind marked its clients in a
+    (T, N) boolean mask, verbatim but for comments and the int64 position
+    check: the schedule its rows give."""
+    def independent_fill(rng, S, chosen):
+        T, N = chosen.shape
+        rows = max(1, participation._BLOCK_ENTRIES // N)
+        for lo in range(0, T, rows):
+            scores = rng.random((min(rows, T - lo), N))
+            np.put_along_axis(chosen[lo:lo + len(scores)],
+                              np.argpartition(scores, S - 1, axis=1)[:, :S], True, axis=1)
+
+    def periodic_fill(rng, spec, chosen):
+        T, N = chosen.shape
+        G, B, offset = ((spec.G, spec.B, spec.offset) if spec.kind == "periodic"
+                        else (1, T, 0))
+        size = N // G
+        pos = np.arange(T) + (offset if isinstance(offset, int)
+                              else int(rng.integers(G * B)))
+        rounds_per_perm = max(size // spec.S, 1)
+        fresh = pos % B % rounds_per_perm == 0
+        fresh[0] = True
+        starts = np.flatnonzero(fresh)
+        perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
+        served = np.diff(starts, append=T)[:, None] * spec.S
+        np.put_along_axis(chosen, perms[np.arange(size) < served].reshape(T, spec.S),
+                          True, axis=1)
+
+    rng = fa.substream(seed, "schedule")
+    chosen = np.zeros((T, N), dtype=bool)
+    fallback = 0
+    if spec.kind == "full":
+        chosen[:] = True
+    elif spec.kind == "independent":
+        independent_fill(rng, spec.S, chosen)
+    elif spec.kind == "markov":
+        fallback = participation._markov_fill(rng, spec, chosen)
+    else:
+        periodic_fill(rng, spec, chosen)
+    k = chosen.sum(axis=1)
+    idx = np.flatnonzero(chosen)
+    idx %= N
+    return fa.WeightSchedule(indptr=participation._row_pointers(k), idx=idx,
+                             q=np.repeat(1.0 / k, k), N=N, pattern=spec.describe(),
+                             seed=int(seed), fallback_rounds=fallback)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4 * 1024), st.integers(0, 2**32), st.data())
-def test_lag_means_match_numpy_mean(n, seed, data):
-    rng = np.random.default_rng(seed)
-    # mixed magnitudes, and signed zeros in about a fifth of the entries
-    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
-    zero = rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 1.0]), label="zeros")
-    x[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
-    mu = data.draw(st.sampled_from([0.0, -0.0, 1 / 3, 1e-20]), label="mu")
-    shifts = sorted(set(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
-                                           max_size=8), label="shifts")))
-    with small_lag_pass(data):
-        got = participation._lag_means(x, mu, shifts)
-    expect = [np.mean((x[:n - s] - mu) * (x[s:] - mu)) for s in shifts]
-    assert np.array(got).tobytes() == np.array(expect).tobytes()
+def assert_matches_mask_generator(spec, N, T, seed, block):
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
+        sched = fa.generate_schedule(spec, N, T, seed)
+        ref = mask_schedule_reference(spec, N, T, seed)
+    assert same_rows(sched, ref)
+    assert (sched.pattern, sched.fallback_rounds) == (ref.pattern, ref.fallback_rounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(patterns(), st.sampled_from([1, 7, 64, 1 << 17]))
+def test_generated_rows_match_mask_generator(case, block):
+    assert_matches_mask_generator(*case, block)
+
+
+@pytest.mark.parametrize("spec", [
+    fa.PatternSpec("full"),
+    fa.PatternSpec("independent", S=1), fa.PatternSpec("independent", S=12),
+    fa.PatternSpec("permutation", S=1), fa.PatternSpec("permutation", S=12),
+    fa.PatternSpec("periodic", S=1, G=3, B=2), fa.PatternSpec("periodic", S=4, G=3, B=2),
+    fa.PatternSpec("periodic", S=12, G=1, B=5, offset=4),
+    fa.PatternSpec("markov", S=1, p_aa=0.6, p_uu=0.7),
+    fa.PatternSpec("markov", S=12, p_aa=0.6, p_uu=0.7),
+], ids=lambda spec: spec.describe())
+@pytest.mark.parametrize("T", [1, 2, 45])
+def test_generated_rows_match_mask_generator_at_edges(spec, T):
+    # N = 12: S = 1, S = N (or the whole group), and a single round
+    assert_matches_mask_generator(spec, 12, T, 5, 1 << 17)
+
+
+def lag_cov_reference(w, n_lags):
+    """The mean of each lag's centered products (w[t, n] - 1/N) *
+    (w[t + p, n] - 1/N) for p < n_lags, exact and rounded once.  Every
+    double is a dyadic rational, so the centered weights times their
+    largest denominator are integers, and their product sums are exact."""
+    T, N = w.shape
+    mu = Fraction(1.0 / N)
+    centered = [Fraction(v) - mu for v in w.ravel().tolist()]
+    scale = max(c.denominator for c in centered)
+    c = np.array([x.numerator * (scale // x.denominator) for x in centered],
+                 dtype=object).reshape(T, N)
+    return [float(Fraction(int(np.sum(c[:T - p] * c[p:])), (T - p) * N * scale**2))
+            for p in range(n_lags)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(patterns(), st.data())
 def test_window_lag_cov_matches_centered_products(case, data):
+    # every generated row holds equal weights 1/k_t, so each lag is exact
     spec, N, T, seed = case
     sched = fa.generate_schedule(spec, N, T, seed)
     P = data.draw(st.integers(1, T), label="P")
     max_lag = data.draw(st.integers(0, T + 3), label="max_lag")
-    with small_lag_pass(data):
+    block = data.draw(st.sampled_from([1, 3, 16, 64, 1 << 17]), label="block entries")
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
         lags = fa.window_averages(sched, P, max_lag=max_lag).lag_cov
-    c = sched.weights - 1.0 / N
-    expect = [np.mean(c[:T - p] * c[p:]) if p < T else np.nan
-              for p in range(max_lag + 1)]
+    n_lags = min(max_lag + 1, T)
+    expect = lag_cov_reference(sched.weights, n_lags) + [np.nan] * (max_lag + 1 - n_lags)
     assert lags.tobytes() == np.array(expect).tobytes()
 
 
@@ -668,7 +736,8 @@ def verify_simplex_reference(w):
 
 
 def window_averages_reference(w, P, max_lag):
-    """window_averages on dense weights, verbatim: (qbar, dev2, var, lags)."""
+    """window_averages on dense weights, verbatim, with each lag the exact
+    mean of its centered products: (qbar, dev2, var, lags)."""
     T, N = w.shape
     n_windows = T // P
     qbar = w[:n_windows * P].reshape(n_windows, P, N).mean(axis=1)
@@ -676,8 +745,7 @@ def window_averages_reference(w, P, max_lag):
     dev2 = (qbar - mu) ** 2
     lags = np.full(max_lag + 1, np.nan)
     n_lags = min(max_lag, T - 1) + 1
-    lags[:n_lags] = participation._lag_means(np.ravel(w), mu,
-                                             [p * N for p in range(n_lags)])
+    lags[:n_lags] = lag_cov_reference(w, n_lags)
     return qbar, dev2, float(dev2.mean()), lags
 
 
@@ -852,17 +920,30 @@ def test_sparse_reductions_match_dense(case, data):
     w = sched.weights
     P = data.draw(st.integers(1, sched.T), label="P")
     max_lag = data.draw(st.integers(0, sched.T + 3), label="max_lag")
-    with mock.patch.object(participation, "_BLOCK_ENTRIES", block), \
-            small_lag_pass(data):
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
         rep = fa.verify_simplex(sched)
         stats = fa.window_averages(sched, P, max_lag=max_lag)
-        ref = window_averages_reference(w, P, max_lag)
+    ref = window_averages_reference(w, P, max_lag)
     assert np.array([rep.ok, rep.max_row_error, rep.min_weight, rep.rho2]).tobytes() \
         == np.array(verify_simplex_reference(w)[:4]).tobytes()
     assert rep.bad_rounds == verify_simplex_reference(w)[4]
-    for got, expect in zip((stats.qbar, stats.deviations_sq, stats.var_qbar,
-                            stats.lag_cov), ref):
+    for got, expect in zip((stats.qbar, stats.deviations_sq, stats.var_qbar), ref):
         assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+    k = np.count_nonzero(w, axis=1)
+    equal_rows = all((row[row != 0] == 1.0 / k_t).all() for row, k_t in zip(w, k))
+    if equal_rows and k.min() > 0:
+        assert stats.lag_cov.tobytes() == ref[3].tobytes()
+    else:
+        # any summation order errs by at most (n + 2) * 2**-53 of the mean
+        # absolute product, n products a lag, plus the final rounding
+        T, N = w.shape
+        c = w - 1.0 / N
+        for p, (got, expect) in enumerate(zip(stats.lag_cov[:T], ref[3][:T])):
+            n = (T - p) * N
+            bound = (n + 2) * np.finfo(float).eps * np.mean(np.abs(c[:T - p] * c[p:]))
+            assert abs(got - expect) <= bound + np.spacing(abs(expect))
+        assert np.isnan(stats.lag_cov[T:]).all()
+    event(f"lag pass: {'exact' if equal_rows and k.min() > 0 else 'dense'}")
     assert fa.window_averages(sched, P).lag_cov.size == 0
 
 
