@@ -208,6 +208,7 @@ def hoeffding_check(spec: PatternSpec, N: int, P: int, c: float, trials: int,
         total += stats.deviations_sq.size
         done += k
         part += 1
+        del sched, stats        # so that the next chunk is made without them
     rate = violations / total
     slack = 3.0 * math.sqrt(c * (1.0 - c) / trials)
     return BoundCheck(bound="hoeffding", P=P, c=c, threshold=threshold,
@@ -247,18 +248,18 @@ def chebyshev_mixing_check(spec: PatternSpec, N: int, P_list, trials: int,
         raise ValueError(f"max_lag must be < max(P_list) * trials = {T}, "
                          f"got {max_lag}")
     sched = generate_schedule(spec, N, T, seed)
-    base = window_averages(sched, P_list[0], max_lag=max_lag)
+    lag_cov = window_averages(sched, P_list[0], max_lag=max_lag).lag_cov
 
-    var0 = float(base.lag_cov[0])
-    cov = base.lag_cov[1:]
+    var0 = float(lag_cov[0])
+    cov = lag_cov[1:]
     cut = max_lag
     converged = False
     for p in range(1, max_lag + 1):
-        if abs(base.lag_cov[p]) < 1e-4 * var0:
+        if abs(lag_cov[p]) < 1e-4 * var0:
             cut = p
             converged = True
             break
-    upsilon_hat2 = var0 + 2.0 * float(np.sum(base.lag_cov[1:cut + 1]))
+    upsilon_hat2 = var0 + 2.0 * float(np.sum(lag_cov[1:cut + 1]))
 
     n_fit = 0
     while n_fit < min(cut, 5) and cov[n_fit] > 0:
@@ -281,11 +282,12 @@ def chebyshev_mixing_check(spec: PatternSpec, N: int, P_list, trials: int,
         checks.append(BoundCheck(bound="chebyshev", P=P, c=c, threshold=thr,
                                  trials=stats.deviations_sq.shape[0],
                                  violation_rate=rate, passed=rate <= c + slack))
+        del stats               # so that the next P's averages are made without them
     # a line through fewer than two distinct P has no slope
     slope = (float(np.polyfit(np.log(P_list), np.log(variances), 1)[0])
              if len(set(P_list)) >= 2 else float("nan"))
     return MixingReport(P_list=P_list, var_qbar=variances, slope=slope,
-                        upsilon_hat2=upsilon_hat2, cov_lags=base.lag_cov,
+                        upsilon_hat2=upsilon_hat2, cov_lags=lag_cov,
                         cov_ratio=cov_ratio, truncation_lag=cut,
                         converged=converged, chebyshev=checks)
 

@@ -45,6 +45,7 @@ class PatternSpec:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
         if N < 1:
             raise ValueError(f"need N >= 1, got N={N}")
+        _check_clients(N)
         if self.kind != "full":
             if not 1 <= self.S <= N:
                 raise ValueError(f"need 1 <= S <= N, got S={self.S}, N={N}")
@@ -73,6 +74,12 @@ class PatternSpec:
         return f"markov(p_aa={self.p_aa},p_uu={self.p_uu},S={self.S})"
 
 
+def _check_clients(N: int):
+    """Client indices are stored as int32, so N must stay below 2**31."""
+    if N >= 2**31:
+        raise ValueError(f"need N < 2**31, so that client indices fit int32; got N={N}")
+
+
 def _row_pointers(counts) -> np.ndarray:
     """indptr of rows with the given entry counts: 0, then their running sum."""
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -87,13 +94,14 @@ class WeightSchedule:
     Round t's clients are idx[indptr[t]:indptr[t + 1]], strictly ascending,
     with weights q[indptr[t]:indptr[t + 1]].  A row holds every nonzero
     weight and nothing else, so a schedule of S clients a round takes
-    O(T * S) memory.  `schedule[lo:hi]` gives rounds lo..hi-1 as a dense
-    (hi - lo, N) block, so passes over the rows run block by block.
+    O(T * S) memory: 12 bytes an entry, an int32 client and a float64
+    weight, so N < 2**31.  `schedule[lo:hi]` gives rounds lo..hi-1 as a
+    dense (hi - lo, N) block, so passes over the rows run block by block.
     """
 
     indptr: np.ndarray           # (T + 1,) int64, where each row starts
-    idx: np.ndarray              # clients of every row, ascending per row
-    q: np.ndarray                # their weights
+    idx: np.ndarray              # int32 clients of every row, ascending per row
+    q: np.ndarray                # their float64 weights
     N: int
     pattern: str
     seed: int
@@ -108,9 +116,10 @@ class WeightSchedule:
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 2:
             raise ValueError(f"need dense weights of shape (T, N), got {weights.shape}")
+        _check_clients(weights.shape[1])
         rows, idx = np.nonzero(weights)
         return cls(indptr=_row_pointers(np.bincount(rows, minlength=len(weights))),
-                   idx=idx, q=weights[rows, idx], N=weights.shape[1],
+                   idx=idx.astype(np.int32), q=weights[rows, idx], N=weights.shape[1],
                    pattern=pattern, seed=int(seed), fallback_rounds=fallback_rounds)
 
     @property
@@ -152,8 +161,10 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
     """Read a raw `t,n,q` schedule file.  Rows may carry unequal weights;
     each (t, n) pair may appear once, with t >= 0 and 0 <= n < N.  The
     rounds run to the largest t; explicit zero weights are dropped."""
+    if N is not None:
+        _check_clients(N)
     entries = {}
-    n_limit = 2**63 if N is None else min(N, 2**63)   # T = t + 1 and n fit int64
+    n_limit = 2**31 - 1 if N is None else N     # N = n + 1 < 2**31, T = t + 1 < 2**63
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -166,7 +177,7 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
                 raise ValueError(f"schedule line {line} {row}: {exc}") from exc
             if not (0 <= t < 2**63 - 1 and 0 <= n < n_limit):
                 raise ValueError(f"schedule line {line} {row}: need "
-                                 f"0 <= t < 2**63 - 1 and 0 <= n < N (N={N})")
+                                 f"0 <= t < 2**63 - 1 and 0 <= n < N < 2**31 (N={N})")
             if (t, n) in entries:
                 raise ValueError(f"schedule line {line} {row}: repeats "
                                  f"round {t}, client {n}")
@@ -176,8 +187,9 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
     ts, ns = zip(*entries)
     T, N = max(ts) + 1, N if N is not None else max(ns) + 1
     kept = sorted(key for key, q in entries.items() if q != 0)
-    t, n = np.array(kept, dtype=np.int64).reshape(-1, 2).T.copy()
-    sched = WeightSchedule(indptr=_row_pointers(np.bincount(t, minlength=T)), idx=n,
+    t, n = np.array(kept, dtype=np.int64).reshape(-1, 2).T
+    sched = WeightSchedule(indptr=_row_pointers(np.bincount(t, minlength=T)),
+                           idx=n.astype(np.int32),
                            q=np.array([entries[key] for key in kept], dtype=float),
                            N=N, pattern=f"file({path})", seed=0)
     verify_simplex(sched, strict=True)
@@ -224,16 +236,23 @@ def _periodic_rows(rng, spec: PatternSpec, N: int, rows: np.ndarray):
     fresh = pos % B % rounds_per_perm == 0
     fresh[0] = True
     starts = np.flatnonzero(fresh)
-    # a block starts a permutation, so each one shuffles a single group
-    perms = rng.permuted(pos[starts, None] // B % G * size + np.arange(size), axis=1)
-    # each permutation's first S * (rounds it serves) entries, in order
-    served = np.diff(starts, append=T)[:, None] * spec.S
-    np.compress((np.arange(size) < served).ravel(), perms, out=rows.reshape(-1))
+    # permutation j fills entries bounds[j]:bounds[j + 1] of the rows
+    bounds = np.append(starts, T) * spec.S
+    # permutations drawn a block of rows at a time equal one draw of all
+    per_block = max(1, _BLOCK_ENTRIES // size)
+    for lo in range(0, len(starts), per_block):
+        hi = min(lo + per_block, len(starts))
+        # a block starts a permutation, so each one shuffles a single group
+        perms = rng.permuted(pos[starts[lo:hi], None] // B % G * size + np.arange(size),
+                             axis=1)
+        # each permutation's first S * (rounds it serves) entries, in order
+        served = np.diff(bounds[lo:hi + 1])[:, None]
+        np.compress((np.arange(size) < served).ravel(), perms,
+                    out=rows.reshape(-1)[bounds[lo]:bounds[hi]])
 
 
-def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
-    """Mark a Markov on/off schedule's clients in the (T, N) `chosen`;
-    return its fallback rounds.
+def _markov_rows(rng, spec: PatternSpec, N: int, T: int):
+    """A Markov on/off schedule's indptr and idx, and its fallback rounds.
 
     A client steps its availability with one uniform u per round.  With
     a = u < p_aa and b = u >= p_uu, the round sets the state to a when
@@ -242,13 +261,17 @@ def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
     carried into the block, XOR the parity of the flips since; block-wise
     accumulations give it without a loop over rounds.  Each double takes one
     64-bit output, so the block draws equal one draw per stage: the initial
-    states, all transitions, then all selection scores.  `chosen` holds the
-    availability until the selection replaces it, row block by row block.
+    states, all transitions, then all selection scores.
+
+    The availability is kept packed to bits, with each round's count
+    beside it.  A round takes min(S, count) clients, or S with no client
+    available, so the rows are sized before the selection pass writes them.
     """
-    T, N = chosen.shape
     rows = max(1, _MARKOV_BLOCK_DRAWS // N)
-    avail = chosen
-    avail[0] = rng.random(N) < (1.0 - spec.p_uu) / (2.0 - spec.p_aa - spec.p_uu)
+    packed = np.empty((T, -(-N // 8)), dtype=np.uint8)
+    count = np.empty(T, dtype=np.int64)
+    avail = rng.random((1, N)) < (1.0 - spec.p_uu) / (2.0 - spec.p_aa - spec.p_uu)
+    packed[:1], count[:1] = np.packbits(avail, axis=1), np.count_nonzero(avail, axis=1)
     for lo in range(1, T, rows):
         u = rng.random((min(rows, T - lo), N))
         a, b = u < spec.p_aa, u >= spec.p_uu
@@ -256,20 +279,26 @@ def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
         # base[j]: the state at setting row j - 1 with the parity up to it
         # taken out; base[0]: the state carried in
         base = np.empty((len(u) + 1, N), dtype=bool)
-        base[0] = avail[lo - 1]
+        base[0] = avail[-1]
         np.logical_xor(a, parity, out=base[1:])
         last = (a == b) * np.arange(1, len(u) + 1)[:, None]
         np.maximum.accumulate(last, axis=0, out=last)
-        np.logical_xor(np.take_along_axis(base, last, axis=0), parity,
-                       out=avail[lo:lo + len(u)])
+        avail = np.logical_xor(np.take_along_axis(base, last, axis=0), parity)
+        packed[lo:lo + len(u)] = np.packbits(avail, axis=1)
+        count[lo:lo + len(u)] = np.count_nonzero(avail, axis=1)
+    empty = count == 0
+    k = np.minimum(count, spec.S)
+    k[empty] = spec.S
+    indptr = _row_pointers(k)
+    idx = np.empty(indptr[-1], dtype=np.int32)
 
     # the first min(S, available) available clients by score; with no
     # client available, the first S of all clients (fallback)
-    empty = ~avail.any(axis=1)
     for lo in range(0, T, rows):
         scores = rng.random((min(rows, T - lo), N))
-        candidate = avail[lo:lo + len(scores)]
-        candidate |= empty[lo:lo + len(scores), None]
+        hi = lo + len(scores)
+        candidate = np.unpackbits(packed[lo:hi], axis=1, count=N).view(bool)
+        candidate |= empty[lo:hi, None]
         np.copyto(scores, np.inf, where=~candidate)
         # every candidate below the S-th smallest score, then those at it in
         # client order until S are chosen: a stable sort's first S.  With
@@ -278,16 +307,17 @@ def _markov_fill(rng, spec: PatternSpec, chosen: np.ndarray) -> int:
         below, at_kth = scores < kth, scores == kth
         at_kth &= np.cumsum(at_kth, axis=1) <= spec.S - below.sum(axis=1, keepdims=True)
         candidate &= below | at_kth
-    return int(empty.sum())
+        idx[indptr[lo]:indptr[hi]] = np.flatnonzero(candidate) % N
+    return indptr, idx, int(empty.sum())
 
 
 def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSchedule:
     """Seeded, bit-reproducible schedule for the given pattern.
 
     Every kind but Markov writes its (T, S) client rows directly, sorted,
-    with weight 1/S each.  Markov's availability chain marks its clients
-    in a (T, N) boolean mask; its rows are read off the mask in client
-    order, with weight 1/k for the k clients of a round.
+    with weight 1/S each.  Markov's availability chain sizes each round's
+    row from its count of available clients and writes the clients in
+    ascending order, with weight 1/k for the k clients of a round.
     """
     spec.validate(N)
     if T < 1:
@@ -296,15 +326,14 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
     fallback = 0
 
     if spec.kind == "markov":
-        chosen = np.zeros((T, N), dtype=bool)
-        fallback = _markov_fill(rng, spec, chosen)
-        k = chosen.sum(axis=1)
-        indptr, idx, q = _row_pointers(k), np.flatnonzero(chosen), np.repeat(1.0 / k, k)
-        idx %= N
+        # weights made once the chain's arrays are freed
+        indptr, idx, fallback = _markov_rows(rng, spec, N, T)
+        k = np.diff(indptr)
+        q = np.repeat(1.0 / k, k)
 
     else:
         S = N if spec.kind == "full" else spec.S
-        rows = np.empty((T, S), dtype=np.int64)
+        rows = np.empty((T, S), dtype=np.int32)
         if spec.kind == "full":
             rows[:] = np.arange(N)
         elif spec.kind == "independent":
@@ -459,6 +488,13 @@ def window_averages(schedule: WeightSchedule, P: int,
     if max_lag is not None and max_lag < 0:
         raise ValueError(f"max_lag must be >= 0, got {max_lag}")
     T, N, indptr = schedule.T, schedule.N, schedule.indptr
+    # the lag pass first, so that its blocks and the averages are never
+    # held at once
+    lags = np.full(0 if max_lag is None else max_lag + 1, np.nan)
+    n_lags = min(len(lags), T)
+    if n_lags:
+        lags[:n_lags] = (_lag_cov_exact(schedule, n_lags)
+                         or _lag_cov_dense(schedule, n_lags))
     n_windows = T // P
     qbar = np.empty((n_windows, N))
     per_block = max(1, _BLOCK_ENTRIES // (P * N))
@@ -470,13 +506,9 @@ def window_averages(schedule: WeightSchedule, P: int,
         np.divide(np.bincount(key, schedule.q[a:b], minlength=(hi - lo) * N), P,
                   out=qbar[lo:hi].reshape(-1))
     mu = 1.0 / N
-    dev2 = (qbar - mu) ** 2
+    dev2 = np.subtract(qbar, mu)
+    np.square(dev2, out=dev2)
     var_qbar = float(dev2.mean())
-    lags = np.full(0 if max_lag is None else max_lag + 1, np.nan)
-    n_lags = min(len(lags), T)
-    if n_lags:
-        lags[:n_lags] = (_lag_cov_exact(schedule, n_lags)
-                         or _lag_cov_dense(schedule, n_lags))
     return WindowStats(P=P, qbar=qbar, mu=mu, deviations_sq=dev2,
                        var_qbar=var_qbar, lag_cov=lags,
                        dropped_rounds=T - n_windows * P)

@@ -622,6 +622,22 @@ class TestCliBounds:
         assert err.startswith("error: max_lag must") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pattern", [
+        ["pattern.kind=independent"],
+        ["pattern.kind=markov", "pattern.p_aa=0.9", "pattern.p_uu=0.8"],
+    ], ids=["independent", "markov"])
+    def test_N_beyond_int32_exit_1(self, cfg_file, tmp_path, capsys, pattern):
+        # clients are stored as int32: rejected before a schedule is allocated
+        out = tmp_path / "b"
+        args = ["bounds", "--config", cfg_file, "--out", str(out),
+                "--set", f"population.N={2**31}"]
+        for item in pattern:
+            args += ["--set", item]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: need N < 2**31") and "Traceback" not in err
+        assert not out.exists()
+
     def test_one_P_omits_variance_slope(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "b"
         code = main(["bounds", "--config", cfg_file, "--out", str(out),

@@ -183,7 +183,8 @@ class TestDeterminismAndIO:
             fa.load_schedule_csv(path, N=N)
 
     @pytest.mark.parametrize("row", ["9223372036854775807,0,1",    # T = 2**63
-                                     "0,9223372036854775808,1"])
+                                     "0,9223372036854775808,1",
+                                     "0,2147483647,1"])      # N = 2**31: clients are int32
     def test_load_rejects_indices_beyond_int64(self, tmp_path, row):
         path = tmp_path / "bad.csv"
         path.write_text("t,n,q\n" + row + "\n")
@@ -211,6 +212,39 @@ class TestDeterminismAndIO:
         path.write_text("t,n,q\n" + rows)
         with pytest.raises(ValueError, match=r"rounds \[0\]"):
             fa.load_schedule_csv(path)
+
+
+class TestClientIndexLimit:
+    """Clients are stored as int32, so N >= 2**31 is rejected where a
+    schedule is made, before anything is allocated."""
+
+    @pytest.mark.parametrize("spec", [
+        fa.PatternSpec("full"), fa.PatternSpec("independent", S=4),
+        fa.PatternSpec("periodic", S=4, G=1, B=3),
+        fa.PatternSpec("markov", S=8, p_aa=0.9, p_uu=0.8)], ids=lambda s: s.kind)
+    def test_generate_rejects_N_beyond_int32(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"need N < 2\*\*31"):
+                fa.generate_schedule(spec, 2**31, 1000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        spec.validate(2**31 - 1)
+
+    def test_from_dense_rejects_N_beyond_int32(self):
+        # no rows, so neither shape allocates anything
+        with pytest.raises(ValueError, match=r"need N < 2\*\*31"):
+            fa.WeightSchedule.from_dense(np.zeros((0, 2**31)), "manual", 0)
+        sched = fa.WeightSchedule.from_dense(np.zeros((0, 2**31 - 1)), "manual", 0)
+        assert (sched.T, sched.N, sched.idx.dtype) == (0, 2**31 - 1, np.int32)
+
+    def test_load_rejects_N_beyond_int32(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("t,n,q\n0,0,1\n")
+        with pytest.raises(ValueError, match=r"need N < 2\*\*31"):
+            fa.load_schedule_csv(path, N=2**31)
 
 
 class TestWindowAverages:
@@ -282,6 +316,12 @@ class TestWindowAverages:
         assert peak < sched.weights.nbytes / 4
 
 
+def rows_bytes(T, S):
+    """The stored size of a schedule of T rounds of S clients: an int32
+    client and a float64 weight per entry, and T + 1 int64 row starts."""
+    return T * S * 12 + (T + 1) * 8
+
+
 class TestScheduleMemory:
     """Schedules are stored as sparse rows, so generating and checking one
     stays below the size of its dense (T, N) float weights."""
@@ -290,15 +330,55 @@ class TestScheduleMemory:
         from fedamp.config import SCHEMA
         P_list = SCHEMA[("bounds", "P_list")][1]
         trials = SCHEMA[("bounds", "mixing_trials")][1]
-        N = 32
-        spec = fa.PatternSpec("markov", S=8, p_aa=0.9, p_uu=0.8)
+        N, S = 32, 8
+        spec = fa.PatternSpec("markov", S=S, p_aa=0.9, p_uu=0.8)
         tracemalloc.start()
         try:
             fa.chebyshev_mixing_check(spec, N, P_list, trials, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < max(P_list) * trials * N * 8
+        # the schedule's rows, with under 8 MiB of temporaries beside them:
+        # no (T, N) mask, no copy of the window averages
+        assert peak < rows_bytes(max(P_list) * trials, S) + 8 * 2**20
+
+    def test_hoeffding_check_holds_one_chunk(self):
+        # the benchmark's check: chunks of 2048 windows of P = 64 rounds
+        N, S, P, trials = 16, 4, 64, 10_000
+        tracemalloc.start()
+        try:
+            fa.hoeffding_check(fa.PatternSpec("independent", S=S), N, P, 0.05, trials,
+                               seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * rows_bytes(131_072, S)
+
+    def test_markov_generation_keeps_availability_packed(self):
+        # a (T, N) bool mask alone would trace at T * N bytes; packed to
+        # bits, the availability takes T * N / 8
+        T, N = 32_768, 1024
+        tracemalloc.start()
+        try:
+            sched = make("markov", N=N, T=T, seed=2, S=4, p_aa=0.9, p_uu=0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.idx.size == 4 * T
+        assert peak < T * N / 2
+
+    def test_periodic_short_blocks_draw_permutations_in_row_blocks(self):
+        # with B = 1 every round starts a permutation of all N clients:
+        # drawn at once they would take 8 * T * N bytes (64 MiB)
+        T, N = 8192, 1024
+        tracemalloc.start()
+        try:
+            sched = make("periodic", N=N, T=T, seed=2, S=4, G=1, B=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.idx.size == 4 * T
+        assert peak < T * N / 2
 
     def test_independent_generation_below_dense_weights(self):
         T, N = 131_072, 16

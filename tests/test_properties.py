@@ -472,8 +472,8 @@ def test_schedule_rows_equal_weights_on_simplex(case):
 
 def mask_schedule_reference(spec, N, T, seed):
     """generate_schedule as it was when every kind marked its clients in a
-    (T, N) boolean mask, verbatim but for comments and the int64 position
-    check: the schedule its rows give."""
+    (T, N) boolean mask, verbatim but for comments, the int64 position
+    check and the int32 clients: the schedule its rows give."""
     def independent_fill(rng, S, chosen):
         T, N = chosen.shape
         rows = max(1, participation._BLOCK_ENTRIES // N)
@@ -498,6 +498,35 @@ def mask_schedule_reference(spec, N, T, seed):
         np.put_along_axis(chosen, perms[np.arange(size) < served].reshape(T, spec.S),
                           True, axis=1)
 
+    def markov_fill(rng, spec, chosen):
+        T, N = chosen.shape
+        rows = max(1, participation._MARKOV_BLOCK_DRAWS // N)
+        avail = chosen
+        avail[0] = rng.random(N) < (1.0 - spec.p_uu) / (2.0 - spec.p_aa - spec.p_uu)
+        for lo in range(1, T, rows):
+            u = rng.random((min(rows, T - lo), N))
+            a, b = u < spec.p_aa, u >= spec.p_uu
+            parity = np.logical_xor.accumulate(b & ~a, axis=0)
+            base = np.empty((len(u) + 1, N), dtype=bool)
+            base[0] = avail[lo - 1]
+            np.logical_xor(a, parity, out=base[1:])
+            last = (a == b) * np.arange(1, len(u) + 1)[:, None]
+            np.maximum.accumulate(last, axis=0, out=last)
+            np.logical_xor(np.take_along_axis(base, last, axis=0), parity,
+                           out=avail[lo:lo + len(u)])
+
+        empty = ~avail.any(axis=1)
+        for lo in range(0, T, rows):
+            scores = rng.random((min(rows, T - lo), N))
+            candidate = avail[lo:lo + len(scores)]
+            candidate |= empty[lo:lo + len(scores), None]
+            np.copyto(scores, np.inf, where=~candidate)
+            kth = np.partition(scores, spec.S - 1, axis=1)[:, spec.S - 1:spec.S]
+            below, at_kth = scores < kth, scores == kth
+            at_kth &= np.cumsum(at_kth, axis=1) <= spec.S - below.sum(axis=1, keepdims=True)
+            candidate &= below | at_kth
+        return int(empty.sum())
+
     rng = fa.substream(seed, "schedule")
     chosen = np.zeros((T, N), dtype=bool)
     fallback = 0
@@ -506,19 +535,20 @@ def mask_schedule_reference(spec, N, T, seed):
     elif spec.kind == "independent":
         independent_fill(rng, spec.S, chosen)
     elif spec.kind == "markov":
-        fallback = participation._markov_fill(rng, spec, chosen)
+        fallback = markov_fill(rng, spec, chosen)
     else:
         periodic_fill(rng, spec, chosen)
     k = chosen.sum(axis=1)
     idx = np.flatnonzero(chosen)
     idx %= N
-    return fa.WeightSchedule(indptr=participation._row_pointers(k), idx=idx,
+    return fa.WeightSchedule(indptr=participation._row_pointers(k), idx=idx.astype(np.int32),
                              q=np.repeat(1.0 / k, k), N=N, pattern=spec.describe(),
                              seed=int(seed), fallback_rounds=fallback)
 
 
 def assert_matches_mask_generator(spec, N, T, seed, block):
-    with mock.patch.object(participation, "_BLOCK_ENTRIES", block):
+    with mock.patch.object(participation, "_BLOCK_ENTRIES", block), \
+            mock.patch.object(participation, "_MARKOV_BLOCK_DRAWS", block):
         sched = fa.generate_schedule(spec, N, T, seed)
         ref = mask_schedule_reference(spec, N, T, seed)
     assert same_rows(sched, ref)
@@ -539,6 +569,7 @@ def test_generated_rows_match_mask_generator(case, block):
     fa.PatternSpec("periodic", S=12, G=1, B=5, offset=4),
     fa.PatternSpec("markov", S=1, p_aa=0.6, p_uu=0.7),
     fa.PatternSpec("markov", S=12, p_aa=0.6, p_uu=0.7),
+    fa.PatternSpec("markov", S=5, p_aa=0.05, p_uu=0.99),    # mostly fallback rounds
 ], ids=lambda spec: spec.describe())
 @pytest.mark.parametrize("T", [1, 2, 45])
 def test_generated_rows_match_mask_generator_at_edges(spec, T):
