@@ -255,17 +255,24 @@ def _markov_rows(rng, spec: PatternSpec, N: int, T: int):
     """A Markov on/off schedule's indptr and idx, and its fallback rounds.
 
     A client steps its availability with one uniform u per round.  With
-    a = u < p_aa and b = u >= p_uu, the round sets the state to a when
-    a == b, keeps it when a and not b, and flips it when b and not a.  The
-    state is therefore the value at the last setting round, or the state
-    carried into the block, XOR the parity of the flips since; block-wise
-    accumulations give it without a loop over rounds.  Each double takes one
-    64-bit output, so the block draws equal one draw per stage: the initial
-    states, all transitions, then all selection scores.
+    a = u < p_aa and b = u >= p_uu, the round maps the state s to
+    (s & (a ^ b)) ^ b: a when s is on, b when it is off.  Maps of the form
+    s -> (s & M) ^ C compose associatively, (M1, C1) then (M2, C2) being
+    (M1 & M2, (C1 & M2) ^ C2), so a doubling scan over a block's rows of
+    bits packed from a ^ b and b gives each row's map from the state
+    carried into the block, without a loop over rounds.  Padding bits have
+    M = C = 0, so they stay off.  Each double takes one 64-bit output, so
+    the block draws equal one draw per stage: the initial states, all
+    transitions, then all selection scores.
 
     The availability is kept packed to bits, with each round's count
     beside it.  A round takes min(S, count) clients, or S with no client
     available, so the rows are sized before the selection pass writes them.
+    The pass subtracts 1 from the candidates' scores.  `Generator.random`
+    doubles are multiples of 2**-53 in [0, 1), so the shift is exact: the
+    candidates move to [-1, 0), below every other score, in the same order
+    and with the same ties.  A row's S smallest scores then hold its k
+    chosen clients, and more only when scores tie at the S-th.
     """
     rows = max(1, _MARKOV_BLOCK_DRAWS // N)
     packed = np.empty((T, -(-N // 8)), dtype=np.uint8)
@@ -274,40 +281,45 @@ def _markov_rows(rng, spec: PatternSpec, N: int, T: int):
     packed[:1], count[:1] = np.packbits(avail, axis=1), np.count_nonzero(avail, axis=1)
     for lo in range(1, T, rows):
         u = rng.random((min(rows, T - lo), N))
-        a, b = u < spec.p_aa, u >= spec.p_uu
-        parity = np.logical_xor.accumulate(b & ~a, axis=0)
-        # base[j]: the state at setting row j - 1 with the parity up to it
-        # taken out; base[0]: the state carried in
-        base = np.empty((len(u) + 1, N), dtype=bool)
-        base[0] = avail[-1]
-        np.logical_xor(a, parity, out=base[1:])
-        last = (a == b) * np.arange(1, len(u) + 1)[:, None]
-        np.maximum.accumulate(last, axis=0, out=last)
-        avail = np.logical_xor(np.take_along_axis(base, last, axis=0), parity)
-        packed[lo:lo + len(u)] = np.packbits(avail, axis=1)
-        count[lo:lo + len(u)] = np.count_nonzero(avail, axis=1)
+        b = u >= spec.p_uu
+        mask = np.packbits((u < spec.p_aa) ^ b, axis=1)
+        flip = np.packbits(b, axis=1)
+        # inclusive scan: row i becomes the map of rows i - 2d + 1..i
+        d = 1
+        while d < len(u):
+            flip[d:] ^= flip[:-d] & mask[d:]
+            mask[d:] &= mask[:-d]
+            d *= 2
+        mask &= packed[lo - 1]
+        np.bitwise_xor(mask, flip, out=packed[lo:lo + len(u)])
+        count[lo:lo + len(u)] = np.bitwise_count(packed[lo:lo + len(u)]).sum(axis=1)
     empty = count == 0
     k = np.minimum(count, spec.S)
     k[empty] = spec.S
     indptr = _row_pointers(k)
     idx = np.empty(indptr[-1], dtype=np.int32)
 
-    # the first min(S, available) available clients by score; with no
-    # client available, the first S of all clients (fallback)
+    # the first k available clients by score, or with no client available
+    # the first S of all clients (fallback); a row with a tie at the S-th
+    # score takes the tied clients in client order, as a stable sort would
     for lo in range(0, T, rows):
         scores = rng.random((min(rows, T - lo), N))
         hi = lo + len(scores)
         candidate = np.unpackbits(packed[lo:hi], axis=1, count=N).view(bool)
         candidate |= empty[lo:hi, None]
-        np.copyto(scores, np.inf, where=~candidate)
-        # every candidate below the S-th smallest score, then those at it in
-        # client order until S are chosen: a stable sort's first S.  With
-        # fewer than S candidates that score is inf, and each one is chosen.
+        scores -= candidate
         kth = np.partition(scores, spec.S - 1, axis=1)[:, spec.S - 1:spec.S]
-        below, at_kth = scores < kth, scores == kth
-        at_kth &= np.cumsum(at_kth, axis=1) <= spec.S - below.sum(axis=1, keepdims=True)
-        candidate &= below | at_kth
-        idx[indptr[lo]:indptr[hi]] = np.flatnonzero(candidate) % N
+        chosen = scores <= kth
+        chosen &= candidate
+        flat = np.flatnonzero(chosen)
+        if len(flat) > indptr[hi] - indptr[lo]:     # a row holds more than its k
+            tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k[lo:hi])
+            below, at_kth = scores[tied] < kth[tied], scores[tied] == kth[tied]
+            at_kth &= (np.cumsum(at_kth, axis=1)
+                       <= spec.S - below.sum(axis=1, keepdims=True))
+            chosen[tied] = below | at_kth
+            flat = np.flatnonzero(chosen)
+        idx[indptr[lo]:indptr[hi]] = flat % N
     return indptr, idx, int(empty.sum())
 
 

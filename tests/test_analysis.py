@@ -27,6 +27,25 @@ class TestDivergence:
         assert rep.nu2 > 0
         assert rep.nu2 <= rep.d2 + 1e-12
 
+    def test_kept_round_pass_serves_only_its_own_schedule(self):
+        # each schedule one weight, one client or one row boundary from the
+        # one before: each gets the constants of a fresh pass, and they differ
+        pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=1.0, seed=41)
+        scheds = [fa.WeightSchedule.from_dense(np.array([row] * 2), "manual", 0)
+                  for row in ([0.5, 0.5, 0.0], [0.5, 0.25, 0.0], [0.5, 0.0, 0.25])]
+        scheds += [fa.WeightSchedule(indptr=np.array(indptr),
+                                     idx=np.arange(3, dtype=np.int32),
+                                     q=np.array([0.5, 0.5, 1.0]), N=3,
+                                     pattern="manual", seed=0)
+                   for indptr in ([0, 2, 3], [0, 1, 3])]
+        warm = [fa.divergence_exact(pop, sched, 2) for sched in scheds]
+        cold = []
+        for sched in scheds:
+            fa.analysis._ROUND_MAXIMA.clear()
+            cold.append(fa.divergence_exact(pop, sched, 2))
+        assert warm == cold
+        assert len({rep.beta2 for rep in warm}) == len(scheds)
+
     def test_single_client_rounds_hit_the_extremes(self):
         # selecting one client per round: weighted bias equals that client's
         # squared offset, so the max over rounds is exactly d^2

@@ -530,17 +530,23 @@ class TestCliDiagnose:
         assert [r.pop("exact") for r in sampled] == ["0"] * len(sampled)
         assert sampled == exact
 
-    def test_sampled_quadratic_reduces_once_per_P(self, cfg_file, tmp_path,
-                                                  monkeypatch):
-        # the offsets of every point are the same rows: one reduction per P
-        calls = []
-        real = analysis._round_quantities
+    def test_sampled_quadratic_makes_one_round_pass(self, cfg_file, tmp_path,
+                                                    monkeypatch):
+        # the offsets of every point are the same rows, and only delta2
+        # depends on P: one per-round pass serves the whole P list, and
+        # one window pass each P
+        rounds, windows = [], []
+        real_rounds, real_windows = analysis._round_quantities, analysis._window_bias
+        monkeypatch.setattr(analysis, "_ROUND_MAXIMA", {})    # none kept from before
         monkeypatch.setattr(analysis, "_round_quantities",
-                            lambda *a: calls.append(a) or real(*a))
+                            lambda *a: rounds.append(a) or real_rounds(*a))
+        monkeypatch.setattr(analysis, "_window_bias",
+                            lambda *a: windows.append(a) or real_windows(*a))
         assert main(["diagnose", "--config", cfg_file, "--out", str(tmp_path / "d"),
                      "--set", "diagnose.points=16",
                      "--set", "diagnose.P_list=1 2 4 8"]) == 0
-        assert len(calls) == 4
+        assert len(rounds) == 1
+        assert [a[2] for a in windows] == [1, 2, 4, 8]
 
     def test_non_finite_constants_exit_2(self, cfg_file, tmp_path, capsys):
         # logistic client gradients at |x| ~ 1e300 overflow when squared

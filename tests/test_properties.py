@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import fedamp as fa
 from fedamp import analysis, cli, participation
-from fedamp.analysis import _round_quantities
+from fedamp.analysis import _round_quantities, _window_bias
 from fedamp.config import SCHEMA, _bool, _fmt, _gap, _int_list, _offset
 from fedamp.engine import MODES, _LocalSteps, _Rounds, amplify
 
@@ -41,7 +41,7 @@ def offsets_and_weights(draw):
 @given(offsets_and_weights())
 def test_decomposition_beta_plus_nu(case):
     offsets, w, P = case
-    beta_t, nu_t, weighted_d2, _ = _round_quantities(offsets, w, P)
+    beta_t, nu_t, weighted_d2 = _round_quantities(offsets, w)
     assert np.all(np.abs(beta_t + nu_t - weighted_d2) <= 1e-10 * weighted_d2)
 
 
@@ -50,7 +50,8 @@ def test_decomposition_beta_plus_nu(case):
 def test_window_bias_below_round_bias(case):
     # a window average of the weighted offsets is no longer than the longest
     offsets, w, P = case
-    beta_t, _, _, delta2 = _round_quantities(offsets, w, P)
+    beta_t, _, _ = _round_quantities(offsets, w)
+    delta2 = _window_bias(offsets, w, P)
     assert delta2 <= beta_t.max() * (1 + 1e-12)
 
 
@@ -73,6 +74,72 @@ def test_stack_report_is_max_of_point_reports(case):
     for name in ("d2", "beta2", "nu2", "delta2", "decomposition_residual",
                  "max_round_sum"):
         assert getattr(rep, name) == max(getattr(p, name) for p in points)
+
+
+def report_bytes(rep):
+    """A report's constants as bytes, so that NaN and -0.0 compare too."""
+    return np.array([rep.d2, rep.beta2, rep.nu2, rep.delta2, rep.max_round_sum,
+                     rep.decomposition_residual]).tobytes()
+
+
+def cold(report, *args):
+    """`report(*args)` with no per-round pass kept from an earlier call."""
+    analysis._ROUND_MAXIMA.clear()
+    return report(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(offset_stacks().map(lambda c: ("sampled", c)),
+                 st.tuples(st.integers(1, 8), st.integers(1, 4), st.integers(1, 40),
+                           st.booleans(), st.integers(0, 2**32))
+                 .map(lambda c: ("exact", c))),
+       st.data())
+def test_round_pass_kept_across_P_matches_cold_calls(case, data):
+    # one per-round pass serves a list of P, in any order and with repeats,
+    # bit for bit as a fresh pass for each P would
+    mode, args = case
+    if mode == "sampled":
+        offsets, sched, _ = args
+        report, first = fa.divergence_at_offsets, offsets
+        event(f"sampled, k > 1: {len(offsets) > 1}")
+    else:
+        N, m, T, rotate, seed = args
+        report = fa.divergence_exact
+        first = fa.build_quadratic(N, m, 1.0, 0.5, seed, rotate=rotate)
+        sched = fa.generate_schedule(fa.PatternSpec("markov", S=max(1, N // 2),
+                                                    p_aa=0.7, p_uu=0.6), N, T, seed)
+        event("exact")
+    Ps = data.draw(st.lists(st.integers(1, sched.T), min_size=1, max_size=6))
+    analysis._ROUND_MAXIMA.clear()
+    warm = [report(first, sched, P) for P in Ps]
+    for P, rep in zip(Ps, warm):
+        assert rep.P == P
+        assert report_bytes(rep) == report_bytes(cold(report, first, sched, P))
+
+
+@settings(max_examples=80, deadline=None)
+@given(offset_stacks(), st.data())
+def test_round_pass_not_kept_for_a_changed_schedule(case, data):
+    # a schedule one client or one weight away from the one whose pass is
+    # kept gets its own constants
+    offsets, sched, P = case
+    w = sched.weights
+    t = data.draw(st.integers(0, sched.T - 1))
+    n = data.draw(st.sampled_from(np.flatnonzero(w[t]).tolist()))
+    absent = np.flatnonzero(w[t] == 0).tolist()
+    changed = w.copy()
+    if absent and data.draw(st.booleans()):
+        changed[t, data.draw(st.sampled_from(absent))], changed[t, n] = w[t, n], 0.0
+        event("one client moved")
+    else:
+        changed[t, n] *= 0.5
+        event("one weight halved")
+    other = fa.WeightSchedule.from_dense(changed, "manual", 0)
+    kept = cold(fa.divergence_at_offsets, offsets, sched, P)
+    rep = fa.divergence_at_offsets(offsets, other, P)
+    assert report_bytes(rep) == report_bytes(cold(fa.divergence_at_offsets,
+                                                  offsets, other, P))
+    event(f"a kept pass would show: {report_bytes(rep) != report_bytes(kept)}")
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +340,8 @@ def test_interval_invariance_at_eta_one(case):
 
 
 def markov_reference(rng, N, T, S, p_aa, p_uu):
-    """The Markov generator as one loop over rounds: (weights, fallback rounds)."""
+    """The Markov generator as one loop over rounds: (weights, fallback rounds,
+    rounds whose S-th and (S+1)-th smallest candidate scores tie)."""
     avail = np.empty((T, N), dtype=bool)
     avail[0] = rng.random(N) < (1.0 - p_uu) / (2.0 - p_aa - p_uu)
     u = rng.random((T - 1, N)) if T > 1 else np.empty((0, N))
@@ -281,16 +349,18 @@ def markov_reference(rng, N, T, S, p_aa, p_uu):
         avail[t] = np.where(avail[t - 1], u[t - 1] < p_aa, u[t - 1] >= p_uu)
     scores = rng.random((T, N))
     weights = np.zeros((T, N))
-    fallback = 0
+    fallback = tied = 0
     for t in range(T):
         idx = np.nonzero(avail[t])[0]
         if idx.size == 0:
             fallback += 1
             idx = np.arange(N)
         k = min(S, idx.size)
-        chosen = idx[np.argsort(scores[t, idx], kind="stable")[:k]]
+        order = np.argsort(scores[t, idx], kind="stable")
+        chosen = idx[order[:k]]
         weights[t, chosen] = 1.0 / k
-    return weights, fallback
+        tied += bool(idx.size > S and scores[t, chosen[-1]] == scores[t, idx[order[S]]])
+    return weights, fallback, tied
 
 
 class CoarseDraws:
@@ -307,8 +377,9 @@ class CoarseDraws:
 @st.composite
 def markov_cases(draw):
     """Markov parameters, a draw coarseness and a block size: fallback rounds,
-    S above the available count and T across blocks all occur."""
-    N = draw(st.integers(1, 40))
+    S above the available count, ties at the S-th score, T across blocks and
+    packed rows of several bytes with padding bits all occur."""
+    N = draw(st.integers(1, 130))
     levels = draw(st.one_of(st.none(), st.integers(2, 8)))
     grid = st.integers(1, (levels or 16) - 1).map(lambda i: i / (levels or 16))
     prob = st.one_of(grid, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
@@ -335,13 +406,15 @@ def generate_markov(c):
 @settings(max_examples=300, deadline=None)
 @given(markov_cases())
 def test_markov_matches_round_loop(case):
-    sched, (weights, fallback) = generate_markov(case)
+    sched, (weights, fallback, tied) = generate_markov(case)
     assert sched.weights.tobytes() == weights.tobytes()
     assert sched.fallback_rounds == fallback
     counts = (weights > 0).sum(axis=1)
     event(f"fallback rounds: {fallback > 0}")
     event(f"S > available in some round: {bool((counts < case['S']).any())}")
     event(f"crosses a block: {case['T'] > max(1, case['block_draws'] // case['N'])}")
+    event(f"tie at the S-th score in some round: {tied > 0}")
+    event(f"packed rows of bytes > 1, padded: {case['N'] > 8 and case['N'] % 8 > 0}")
 
 
 def test_markov_matches_round_loop_at_block_size():
@@ -349,9 +422,20 @@ def test_markov_matches_round_loop_at_block_size():
     case = dict(N=32, S=8, p_aa=0.9, p_uu=0.8, seed=11, levels=None,
                 block_draws=participation._MARKOV_BLOCK_DRAWS)
     case["T"] = 2 * (case["block_draws"] // 32) + 5
-    sched, (weights, fallback) = generate_markov(case)
+    sched, (weights, fallback, _) = generate_markov(case)
     assert sched.weights.tobytes() == weights.tobytes()
     assert sched.fallback_rounds == fallback
+
+
+def test_markov_matches_round_loop_when_every_round_ties():
+    # two score levels, and every client stays available (u < p_aa and
+    # u >= p_uu both hold for u = 0.5, and u = 0 keeps an available one):
+    # each round holds many more than S clients at the S-th score
+    case = dict(N=130, S=8, p_aa=0.75, p_uu=0.25, seed=3, levels=2,
+                block_draws=7 * 130, T=50)
+    sched, (weights, fallback, tied) = generate_markov(case)
+    assert (fallback, tied) == (0, case["T"])
+    assert sched.weights.tobytes() == weights.tobytes()
 
 
 def periodic_reference(rng, spec, N, T):
