@@ -59,18 +59,21 @@ class DivergenceReport:
                              f"beta2 = {self.beta2!r}")
 
 
-# schedule rows per block of `_round_quantities`, which bounds its
-# (block, N, m) temporary
+# schedule rows per dense block of the divergence passes
 _ROUND_BLOCK = 1024
+# entries per (rows, N, m) temporary of `_round_quantities`
+_ROUND_ENTRIES = 1 << 17
 
 
-def _row_blocks(T: int):
-    """(lo, hi) blocks of `_ROUND_BLOCK` rows with a 1-row tail folded into
-    the block before it.  Row by row, a product over these blocks equals
-    one product over all T rows; a lone row would not, as numpy sends a
-    (1, N) product to another BLAS call."""
-    edges = list(range(0, T, _ROUND_BLOCK)) + [T]
-    if len(edges) > 2 and T - edges[-2] == 1:
+def _row_blocks(lo: int, hi: int, size: int = _ROUND_BLOCK):
+    """(a, b) blocks of `size` rows from lo to hi with a 1-row tail folded
+    into the block before it.  Row by row, a product over blocks of 1024
+    rows equals one product over all the rows; a lone row would not, as
+    numpy sends a (1, N) product to another BLAS call.  Small blocks need
+    not either: with m <= 3, a 2- or 3-row product can differ from the
+    same rows inside a larger one."""
+    edges = list(range(lo, hi, size)) + [hi]
+    if len(edges) > 2 and hi - edges[-2] == 1:
         del edges[-2]
     return zip(edges[:-1], edges[1:])
 
@@ -78,21 +81,29 @@ def _row_blocks(T: int):
 def _round_quantities(offsets: np.ndarray, weights):
     """Per-round beta2(t), nu2(t) and sum_n q_t^n ||offs_n||^2 of per-client
     offsets (N, m) under a schedule, a `WeightSchedule` or dense (T, N)
-    weights, read a dense block at a time.  None of them depends on P."""
+    weights, read a dense block at a time.  None of them depends on P.
+
+    The weighted offsets of `_ROUND_BLOCK` rows are one product, a tail row
+    on its own, so BLAS sees the same calls whatever N and m are.  Their
+    (rows, N, m) spreads are summed in pieces of about `_ROUND_ENTRIES`
+    entries and at least 2 rows; einsum sums each row alike in any piece.
+    """
     T = len(weights)
     beta_t = np.empty(T)
     nu_t = np.empty(T)
     weighted_d2 = np.empty(T)
     sq = np.sum(offsets**2, axis=1)
-    for lo, hi in _row_blocks(T):
+    rows = max(2, _ROUND_ENTRIES // offsets.size)
+    for lo, hi in _row_blocks(0, T):
         w = weights[lo:hi]
         weighted_d2[lo:hi] = w @ sq
-        for a in range(lo, hi, _ROUND_BLOCK):   # a tail row on its own
-            wa = w[a - lo:a - lo + _ROUND_BLOCK]
-            b = wa @ offsets                      # (block, m) weighted offsets
-            beta_t[a:a + _ROUND_BLOCK] = np.sum(b**2, axis=1)
-            diff = offsets[None, :, :] - b[:, None, :]
-            nu_t[a:a + _ROUND_BLOCK] = np.einsum("tn,tnm->t", wa, diff**2)
+        for chunk in range(lo, hi, _ROUND_BLOCK):   # a tail row on its own
+            end = min(chunk + _ROUND_BLOCK, hi)
+            bias = w[chunk - lo:end - lo] @ offsets   # (end - chunk, m) weighted offsets
+            beta_t[chunk:end] = np.sum(bias**2, axis=1)
+            for a, b in _row_blocks(chunk, end, rows):
+                diff = offsets[None, :, :] - bias[a - chunk:b - chunk, None, :]
+                nu_t[a:b] = np.einsum("tn,tnm->t", w[a - lo:b - lo], diff**2)
     return beta_t, nu_t, weighted_d2
 
 
@@ -103,7 +114,7 @@ def _window_bias(offsets: np.ndarray, weights, P: int) -> float:
     if not n_windows:
         return 0.0
     b = np.empty((n_windows * P, offsets.shape[1]))
-    for lo, hi in _row_blocks(len(b)):
+    for lo, hi in _row_blocks(0, len(b)):
         b[lo:hi] = weights[lo:hi] @ offsets
     win = b.reshape(n_windows, P, -1).mean(axis=1)
     return float(np.max(np.sum(win**2, axis=1)))
@@ -119,8 +130,10 @@ def _round_maxima(offsets: np.ndarray, schedule: WeightSchedule) -> np.ndarray:
     the largest beta2(t), nu2(t) and beta2(t) + nu2(t), and the largest
     decomposition residual.  The last pair's are kept, keyed by the bytes
     of both, so that a hit equals a cold pass bit for bit."""
-    arrays = [np.ascontiguousarray(a) for a in
-              (schedule.indptr, schedule.idx, schedule.q, offsets)]
+    # without a stored q, indptr implies the weights
+    stored = (schedule.indptr, schedule.idx, offsets) + (
+        () if schedule.q is None else (schedule.q,))
+    arrays = [np.ascontiguousarray(a) for a in stored]
     digest = hashlib.sha256(repr([schedule.N] + [(a.dtype.str, a.shape)
                                                  for a in arrays]).encode())
     for a in arrays:

@@ -236,12 +236,13 @@ def run(pop, noise: NoiseModel, schedule: WeightSchedule, cfg: RunConfig,
     # on the simplex, a row's stored weights are its positive ones
     bounds = schedule.indptr[:T + 1].tolist()
     per_round = np.diff(schedule.indptr[:T + 1])
+    q = schedule.entry_weights(0, T)
     local = _LocalSteps(pop, noise, cfg, seed, int(per_round.max(initial=0)))
 
     def update(t, x):
         a, b = bounds[t], bounds[t + 1]
         deltas = local(schedule.idx[a:b], x, t)
-        deltas *= schedule.q[a:b, None]
+        deltas *= q[a:b, None]
         # rows are added in ascending client order (numpy sums a single
         # column, m = 1, pairwise)
         step = deltas.sum(axis=0)

@@ -92,20 +92,31 @@ class WeightSchedule:
     """Per-round points on the simplex over N clients, stored as sparse rows.
 
     Round t's clients are idx[indptr[t]:indptr[t + 1]], strictly ascending,
-    with weights q[indptr[t]:indptr[t + 1]].  A row holds every nonzero
-    weight and nothing else, so a schedule of S clients a round takes
-    O(T * S) memory: 12 bytes an entry, an int32 client and a float64
-    weight, so N < 2**31.  `schedule[lo:hi]` gives rounds lo..hi-1 as a
-    dense (hi - lo, N) block, so passes over the rows run block by block.
+    with weights entry_weights(t, t + 1).  A row holds every nonzero weight
+    and nothing else, so a schedule of S clients a round takes O(T * S)
+    memory, in one of two layouts:
+    - q is None when every row t holds k_t >= 1 equal weights fl(1/k_t), as
+      every generated schedule does: 4 bytes an entry, an int32 client;
+    - otherwise q holds each entry's float64 weight: 12 bytes an entry.
+    Either way N < 2**31, and the T + 1 row starts take 8 bytes each.  Any
+    weights equal to the first layout's, bit for bit, are stored in it.
+    `schedule[lo:hi]` gives rounds lo..hi-1 as a dense (hi - lo, N) block,
+    so passes over the rows run block by block.
     """
 
     indptr: np.ndarray           # (T + 1,) int64, where each row starts
     idx: np.ndarray              # int32 clients of every row, ascending per row
-    q: np.ndarray                # their float64 weights
+    q: np.ndarray | None         # their float64 weights, None if each row's are 1/k
     N: int
     pattern: str
     seed: int
     fallback_rounds: int = 0     # markov rounds with no available client
+
+    def __post_init__(self):
+        if self.q is not None:
+            k = np.diff(self.indptr)
+            if k.min(initial=1) >= 1 and np.array_equal(self.q, np.repeat(1.0 / k, k)):
+                object.__setattr__(self, "q", None)
 
     @classmethod
     def from_dense(cls, weights, pattern: str, seed: int,
@@ -140,8 +151,16 @@ class WeightSchedule:
         block = np.zeros((hi - lo, self.N))
         a, b = self.indptr[lo], self.indptr[hi]
         rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
-        block[rows, self.idx[a:b]] = self.q[a:b]
+        block[rows, self.idx[a:b]] = self.entry_weights(lo, hi)
         return block
+
+    def entry_weights(self, lo: int, hi: int) -> np.ndarray:
+        """The float64 weights of the entries of rounds lo..hi-1, in order:
+        a view of the stored q, or each row's 1/k_t repeated k_t times."""
+        if self.q is not None:
+            return self.q[self.indptr[lo]:self.indptr[hi]]
+        k = np.diff(self.indptr[lo:hi + 1])
+        return np.repeat(1.0 / k, k)
 
     @property
     def weights(self) -> np.ndarray:
@@ -150,11 +169,12 @@ class WeightSchedule:
 
     def to_csv(self, path):
         rounds = np.repeat(np.arange(self.T), np.diff(self.indptr))
+        q = self.entry_weights(0, self.T)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["t", "n", "q"])
             w.writerows(zip(rounds.tolist(), self.idx.tolist(),
-                            (f"{v:.17g}" for v in self.q.tolist())))
+                            (f"{v:.17g}" for v in q.tolist())))
 
 
 def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
@@ -294,9 +314,10 @@ def _markov_rows(rng, spec: PatternSpec, N: int, T: int):
         np.bitwise_xor(mask, flip, out=packed[lo:lo + len(u)])
         count[lo:lo + len(u)] = np.bitwise_count(packed[lo:lo + len(u)]).sum(axis=1)
     empty = count == 0
-    k = np.minimum(count, spec.S)
-    k[empty] = spec.S
-    indptr = _row_pointers(k)
+    np.minimum(count, spec.S, out=count)    # each round's k
+    count[empty] = spec.S
+    indptr = _row_pointers(count)
+    del count
     idx = np.empty(indptr[-1], dtype=np.int32)
 
     # the first k available clients by score, or with no client available
@@ -313,7 +334,8 @@ def _markov_rows(rng, spec: PatternSpec, N: int, T: int):
         chosen &= candidate
         flat = np.flatnonzero(chosen)
         if len(flat) > indptr[hi] - indptr[lo]:     # a row holds more than its k
-            tied = np.flatnonzero(np.count_nonzero(chosen, axis=1) > k[lo:hi])
+            tied = np.flatnonzero(np.count_nonzero(chosen, axis=1)
+                                  > np.diff(indptr[lo:hi + 1]))
             below, at_kth = scores[tied] < kth[tied], scores[tied] == kth[tied]
             at_kth &= (np.cumsum(at_kth, axis=1)
                        <= spec.S - below.sum(axis=1, keepdims=True))
@@ -329,7 +351,8 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
     Every kind but Markov writes its (T, S) client rows directly, sorted,
     with weight 1/S each.  Markov's availability chain sizes each round's
     row from its count of available clients and writes the clients in
-    ascending order, with weight 1/k for the k clients of a round.
+    ascending order, with weight 1/k for the k clients of a round.  Every
+    row's weights are equal, so none are stored.
     """
     spec.validate(N)
     if T < 1:
@@ -338,10 +361,7 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
     fallback = 0
 
     if spec.kind == "markov":
-        # weights made once the chain's arrays are freed
         indptr, idx, fallback = _markov_rows(rng, spec, N, T)
-        k = np.diff(indptr)
-        q = np.repeat(1.0 / k, k)
 
     else:
         S = N if spec.kind == "full" else spec.S
@@ -353,9 +373,9 @@ def generate_schedule(spec: PatternSpec, N: int, T: int, seed: int) -> WeightSch
         else:
             _periodic_rows(rng, spec, N, rows)
         rows.sort(axis=1)
-        indptr, idx, q = np.arange(T + 1) * S, rows.reshape(-1), np.full(T * S, 1.0 / S)
+        indptr, idx = np.arange(T + 1) * S, rows.reshape(-1)
 
-    return WeightSchedule(indptr=indptr, idx=idx, q=q, N=N, pattern=spec.describe(),
+    return WeightSchedule(indptr=indptr, idx=idx, q=None, N=N, pattern=spec.describe(),
                           seed=int(seed), fallback_rounds=fallback)
 
 
@@ -411,7 +431,8 @@ class WindowStats:
 
 def _lag_cov_exact(schedule: WeightSchedule, n_lags: int) -> list | None:
     """lag_cov[:n_lags], each the exact mean rounded once, of a schedule whose
-    every row t holds k_t >= 1 equal weights fl(1/k_t); else None.
+    every row t holds k_t >= 1 equal weights fl(1/k_t), i.e. whose q is
+    None; else None.
 
     Rounds t and t + p with k and k' clients, c of them shared, have N - k
     - k' + c clients in neither, so with a = q_t, b = q_{t+p} and mu = 1/N
@@ -423,6 +444,8 @@ def _lag_cov_exact(schedule: WeightSchedule, n_lags: int) -> list | None:
     """
     from fractions import Fraction    # here, so that importing fedamp stays lean
 
+    if schedule.q is not None:
+        return None
     T, N, indptr, idx = schedule.T, schedule.N, schedule.indptr, schedule.idx
     shared = [Counter() for _ in range(n_lags)]   # per lag and class k*(N+1) + k':
     pairs = [Counter() for _ in range(n_lags)]    # the sum of c, and the pairs
@@ -436,8 +459,6 @@ def _lag_cov_exact(schedule: WeightSchedule, n_lags: int) -> list | None:
         for r0 in range(lo, hi, pack_rows):
             r1 = min(r0 + pack_rows, hi)
             k, a, b = np.diff(indptr[r0:r1 + 1]), indptr[r0], indptr[r1]
-            if k.min() < 1 or not np.array_equal(schedule.q[a:b], np.repeat(1.0 / k, k)):
-                return None
             key = np.repeat(np.arange(r0 - lo, r1 - lo) * n_words, k)
             key += idx[a:b] >> 6
             starts = np.flatnonzero(np.diff(key, prepend=-1))
@@ -491,9 +512,9 @@ def window_averages(schedule: WeightSchedule, P: int,
     order as `reshape(W, P, N).mean(axis=1)` adds them, a block of windows
     at a time.  lag_cov[p] is the mean of the (T - p) * N lag-p products
     (q_t^n - 1/N) * (q_{t+p}^n - 1/N), NaN for p >= T.  When every row
-    holds equal weights 1/k_t, as generated ones do, each lag is the exact
-    mean rounded once, in O(T * S) time; other schedules sum each lag's
-    products a dense block of rows at a time.
+    holds equal weights 1/k_t (q is None), as generated ones do, each lag
+    is the exact mean rounded once, in O(T * S) time; other schedules sum
+    each lag's products a dense block of rows at a time.
     """
     if not 1 <= P <= schedule.T:
         raise ValueError(f"need 1 <= P <= T, got P={P}, T={schedule.T}")
@@ -515,7 +536,8 @@ def window_averages(schedule: WeightSchedule, P: int,
         a, b = indptr[lo * P], indptr[hi * P]
         key = np.repeat(np.arange(hi - lo) * N, np.diff(indptr[lo * P:hi * P + 1:P]))
         key += schedule.idx[a:b]
-        np.divide(np.bincount(key, schedule.q[a:b], minlength=(hi - lo) * N), P,
+        np.divide(np.bincount(key, schedule.entry_weights(lo * P, hi * P),
+                              minlength=(hi - lo) * N), P,
                   out=qbar[lo:hi].reshape(-1))
     mu = 1.0 / N
     dev2 = np.subtract(qbar, mu)

@@ -1,5 +1,6 @@
 """Divergence constants, concentration checks, planners, slope fitting."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -109,6 +110,21 @@ class TestDivergence:
         sched = fa.generate_schedule(fa.PatternSpec("full"), 3, 10, 0)
         with pytest.raises(TypeError):
             fa.divergence_exact(pop, sched, P=2)
+
+    def test_round_pass_temporaries_stay_small(self):
+        # the benchmark's diagnose size: 1024-row blocks would hold two
+        # (1024, N, m) float temporaries, 16 MiB
+        N = m = 32
+        pop = fa.build_quadratic(N=N, m=m, L=1.0, spread=1.0, seed=36)
+        sched = fa.generate_schedule(fa.PatternSpec("permutation", S=8), N, 4096, 0)
+        fa.analysis._ROUND_MAXIMA.clear()
+        tracemalloc.start()
+        try:
+            fa.divergence_exact(pop, sched, P=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_delta_never_exceeds_beta(self):
         for seed in range(5):

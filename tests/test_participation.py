@@ -197,7 +197,8 @@ class TestDeterminismAndIO:
         sched = fa.load_schedule_csv(path)
         assert (sched.T, sched.N) == (3, 3)
         assert sched.indptr.tolist() == [0, 1, 2, 3]
-        assert sched.idx.tolist() == [0, 1, 2] and sched.q.tolist() == [1.0] * 3
+        assert sched.idx.tolist() == [0, 1, 2]
+        assert sched.q is None and sched.entry_weights(0, 3).tolist() == [1.0] * 3
 
     def test_load_rejects_non_simplex(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -212,6 +213,41 @@ class TestDeterminismAndIO:
         path.write_text("t,n,q\n" + rows)
         with pytest.raises(ValueError, match=r"rounds \[0\]"):
             fa.load_schedule_csv(path)
+
+
+class TestWeightLayout:
+    """A schedule stores no weights when every row holds k >= 1 equal
+    weights 1/k, and each entry's weight otherwise."""
+
+    def test_equal_weights_from_dense_store_none(self):
+        w = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1 / 3, 1 / 3, 1 / 3]])
+        sched = fa.WeightSchedule.from_dense(w, "manual", 0)
+        assert sched.q is None
+        assert sched.weights.tobytes() == w.tobytes()
+        direct = fa.WeightSchedule(indptr=sched.indptr, idx=sched.idx,
+                                   q=np.array([0.5, 0.5, 1.0] + [1 / 3] * 3), N=3,
+                                   pattern="manual", seed=0)
+        assert direct.q is None
+
+    @pytest.mark.parametrize("w", [
+        [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0]],         # unequal in one row
+        [[0.5, 0.5, 0.0], [0.0, 0.0, 0.0]],           # a row with no entry
+        [[0.5, 0.5 + 2**-53, 0.0], [1.0, 0.0, 0.0]],  # one ulp from 1/k
+    ], ids=["unequal", "empty_row", "one_ulp"])
+    def test_other_weights_keep_q_and_round_trip(self, tmp_path, w):
+        w = np.array(w)
+        sched = fa.WeightSchedule.from_dense(w, "manual", 0)   # no RuntimeWarning
+        assert sched.q is not None
+        assert sched.entry_weights(0, 2).tobytes() == w[w != 0].tobytes()
+        back = fa.WeightSchedule.from_dense(sched.weights, "manual", 0)
+        assert back.q.tobytes() == sched.q.tobytes()
+        assert back.indptr.tobytes() == sched.indptr.tobytes()
+        if np.all(w.sum(axis=1) == 1.0):   # on the simplex, so a file can hold it
+            path = tmp_path / "sched.csv"
+            sched.to_csv(path)
+            loaded = fa.load_schedule_csv(path, N=3)
+            assert loaded.q.tobytes() == sched.q.tobytes()
+            assert loaded.weights.tobytes() == w.tobytes()
 
 
 class TestClientIndexLimit:
@@ -317,9 +353,9 @@ class TestWindowAverages:
 
 
 def rows_bytes(T, S):
-    """The stored size of a schedule of T rounds of S clients: an int32
-    client and a float64 weight per entry, and T + 1 int64 row starts."""
-    return T * S * 12 + (T + 1) * 8
+    """The stored size of a generated schedule of T rounds of S clients: an
+    int32 client per entry, no weights, and T + 1 int64 row starts."""
+    return T * S * 4 + (T + 1) * 8
 
 
 class TestScheduleMemory:

@@ -552,6 +552,12 @@ def test_schedule_rows_equal_weights_on_simplex(case):
     inv_k = float(np.max(1.0 / k))
     assert 1.0 / N <= inv_k <= 1.0
     assert fa.rho_bound(sched) ** 2 == pytest.approx(inv_k, rel=1e-12)
+    # so no weight is stored, and every slice of rounds reads 1/k per entry
+    assert sched.q is None
+    assert sched.entry_weights(0, T).tobytes() == np.repeat(1.0 / k, k).tobytes()
+    lo, hi = sorted((seed % (T + 1), (seed // 7) % (T + 1)))
+    assert sched.entry_weights(lo, hi).tobytes() == \
+        np.repeat(1.0 / k[lo:hi], k[lo:hi]).tobytes()
 
 
 def mask_schedule_reference(spec, N, T, seed):
@@ -866,10 +872,10 @@ def window_averages_reference(w, P, max_lag):
 
 def divergence_reference(offsets, w, P):
     """divergence_at_offsets on dense weights, verbatim, with its
-    _round_quantities: the report's fields."""
+    _round_quantities in blocks of 1024 rows: the report's fields."""
     def round_quantities(offs):
         T = w.shape[0]
-        block = analysis._ROUND_BLOCK
+        block = 1024
         beta_t, nu_t = np.empty(T), np.empty(T)
         for lo in range(0, T, block):
             wb = w[lo:lo + block]
@@ -968,7 +974,8 @@ def same_rows(a, b):
     """Two schedules hold the same rows, bit for bit."""
     return (a.T, a.N) == (b.T, b.N) and all(
         x.tobytes() == y.tobytes() and x.dtype == y.dtype
-        for x, y in ((a.indptr, b.indptr), (a.idx, b.idx), (a.q, b.q)))
+        for x, y in ((a.indptr, b.indptr), (a.idx, b.idx),
+                     (a.entry_weights(0, a.T), b.entry_weights(0, b.T))))
 
 
 @st.composite
@@ -982,6 +989,27 @@ def schedules(draw):
         _, w, _ = draw(offsets_and_weights())
         sched = fa.WeightSchedule.from_dense(w, pattern="manual", seed=0)
     return sched, draw(st.sampled_from([1, 3, 16, 64, 1 << 17]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(offsets_and_weights())
+def test_dense_weights_stored_in_one_layout(case):
+    # q is None exactly when every row holds equal weights 1/k; either way
+    # the rows survive from_dense and a CSV file bit for bit
+    _, w, _ = case
+    sched = fa.WeightSchedule.from_dense(w, "manual", 0)
+    k = np.count_nonzero(w, axis=1)
+    equal = all((row[row != 0] == 1.0 / k_t).all() for row, k_t in zip(w, k))
+    assert (sched.q is None) == equal
+    assert sched.entry_weights(0, sched.T).tobytes() == w[w != 0].tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sched.csv"
+        sched.to_csv(path)
+        back = fa.load_schedule_csv(path, N=sched.N)
+    assert same_rows(back, sched) and (back.q is None) == equal
+    if not equal:
+        assert back.q.tobytes() == sched.q.tobytes()
+    event(f"equal rows: {equal}")
 
 
 @settings(max_examples=200, deadline=None)
@@ -1094,6 +1122,32 @@ def test_sparse_divergence_matches_dense_across_round_blocks(T, P, m):
                rep.decomposition_residual]
         assert np.array(got).tobytes() == divergence_reference(
             offsets, sched.weights, P).tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32), st.data())
+@pytest.mark.parametrize("T", [1, 2, 3, 129, 1024, 1025, 1026, 2049])
+def test_sparse_divergence_matches_dense_across_round_pieces(T, N, m, seed, data):
+    # the round pass sums each 1024-row block's spreads in pieces of about
+    # entries / (N * m) rows and at least 2: 2 (also for 1), 3 and 128 rows
+    # (a 129-row block stays whole), or whole blocks
+    rows = data.draw(st.sampled_from([1, 2, 3, 128, 1 << 17]), label="rows")
+    rng = np.random.default_rng(seed)
+    raw = rng.random((T, N)) * (rng.random((T, N)) < 0.5)
+    raw[raw.sum(axis=1) == 0, 0] = 1.0
+    scheds = [fa.WeightSchedule.from_dense(raw / raw.sum(axis=1, keepdims=True),
+                                           "manual", 0),
+              fa.generate_schedule(fa.PatternSpec("independent", S=(N + 1) // 2),
+                                   N, T, seed)]
+    offsets = rng.normal(size=(2, N, m))
+    with mock.patch.object(analysis, "_ROUND_ENTRIES", rows * N * m):
+        for sched in scheds:
+            rep = fa.divergence_at_offsets(offsets, sched, data.draw(
+                st.integers(1, T), label="P"))
+            got = [rep.d2, rep.beta2, rep.nu2, rep.delta2, rep.max_round_sum,
+                   rep.decomposition_residual]
+            assert np.array(got).tobytes() == divergence_reference(
+                offsets, sched.weights, rep.P).tobytes()
 
 
 def test_negative_and_nan_weights_kept_for_verify_simplex():
