@@ -201,9 +201,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg, master, out = _open(args)
-    pop = build_population(cfg)
     T = cfg.get("run", "T")
     P_list = cfg.get("diagnose", "P_list")
+    for P in P_list:    # before the population, schedule or any report is built
+        if P < 1 or P > T:
+            raise ConfigError(f"diagnose P={P} outside [1, T={T}]")
+    pop = build_population(cfg)
     sched = build_schedule(cfg, pop.N, T, derive_seed(master, "rep0"))
     points = cfg.get("diagnose", "points")
     if points > 0:
@@ -215,8 +218,6 @@ def cmd_diagnose(args) -> int:
 
     rows = []
     for P in P_list:
-        if P < 1 or P > T:
-            raise ConfigError(f"diagnose P={P} outside [1, T={T}]")
         if points > 0:
             rep = divergence_at_offsets(offsets, sched, P)
         else:

@@ -284,23 +284,25 @@ def run_wait_baseline(pop, noise: NoiseModel, schedule: WeightSchedule,
         clients = schedule.idx[a:b]
         rounds_in = np.repeat(np.arange(t_start, t + 1),
                               np.diff(schedule.indptr[t_start:t + 2]))
-        # the window's appearances: client-major, rounds ascending
+        # the window's appearances: client-major, rounds ascending, each
+        # client's a group that starts where the sorted client changes
         order = np.argsort(clients, kind="stable")
-        appearing = {}
-        for n, tr in zip(clients[order].tolist(), rounds_in[order].tolist()):
-            appearing.setdefault(n, []).append(tr)
+        sorted_clients, rounds_in = clients[order], rounds_in[order].tolist()
+        starts = np.flatnonzero(np.diff(sorted_clients, prepend=-1))
+        groups = zip(sorted_clients[starts].tolist(), starts.tolist(),
+                     starts[1:].tolist() + [len(order)])
         step = np.zeros(pop.m)
-        for n, rounds_n in appearing.items():  # ascending client index
+        for n, lo, hi in groups:    # ascending client index
             if cfg.mode == "wait_full":
                 g = pop.grad(n, x)
             else:   # one draw per appearance
                 g = np.zeros(pop.m)
-                for tr in rounds_n:
+                for tr in rounds_in[lo:hi]:
                     rng = substream(seed, "local", tr, n, reuse=gen)
                     g += pop.stochastic_grad(noise, n, x, rng, cfg.minibatch)
-                g /= len(rounds_n)
+                g /= hi - lo
             step += -cfg.gamma * cfg.local_steps * g
-        x += step / len(appearing)
+        x += step / len(starts)
         return np.isfinite(x).all()
 
     return rounds.loop(np.array(cfg.x0, dtype=float), update)

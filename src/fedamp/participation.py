@@ -220,8 +220,8 @@ def load_schedule_csv(path, N: int | None = None) -> WeightSchedule:
 # temporaries stay small whatever N is
 _MARKOV_BLOCK_DRAWS = 1 << 17
 # the same bound for every other pass over the rows: the independent
-# generator's draws, the dense blocks and segment sums of the reductions,
-# and the bitset rows of the lag pass
+# generator's draws, the segment sums of the window averages, and the
+# dense blocks and bitset rows of the lag passes
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -394,27 +394,32 @@ class SimplexReport:
 
 
 def verify_simplex(schedule: WeightSchedule, strict: bool = False) -> SimplexReport:
-    T = schedule.T
-    row_err, row_min, row_sq = np.empty(T), np.empty(T), np.empty(T)
-    rows = max(1, _BLOCK_ENTRIES // schedule.N)
-    for lo in range(0, T, rows):
-        w = schedule[lo:lo + rows]
-        with np.errstate(invalid="ignore"):    # inf - inf: a NaN sum, caught below
-            row_err[lo:lo + rows] = np.abs(w.sum(axis=1) - 1.0)
-        row_min[lo:lo + rows] = w.min(axis=1)
-        row_sq[lo:lo + rows] = np.sum(w**2, axis=1)
-    # "not within tolerance", so a row with a non-finite weight (its sum is
-    # NaN or inf) is a bad round
-    bad = np.nonzero(~(row_err <= SIMPLEX_TOL) | (row_min < 0))[0]
-    report = SimplexReport(ok=bad.size == 0,
-                           max_row_error=float(row_err.max()),
-                           min_weight=float(row_min.min()),
-                           rho2=float(np.max(row_sq)),
-                           bad_rounds=bad[:20].tolist())
+    """Check every round's weights against the simplex in O(nnz), on the
+    stored rows: a round's sum and sum of squares add its entries pairwise,
+    as `np.sum` adds the row.  A round's clients must lie in [0, N) and
+    strictly ascend, and with q None every round must hold one, else
+    ValueError."""
+    T, N, indptr, idx = schedule.T, schedule.N, schedule.indptr, schedule.idx
+    k = np.diff(indptr)
+    rounds = np.repeat(np.arange(T), k)
+    if (not ((idx >= 0) & (idx < N)).all() or (np.diff(rounds * N + idx) <= 0).any()
+            or schedule.q is None and not k.all()):     # before 1/k divides by 0
+        raise ValueError(f"each round's clients must lie in [0, N={N}) and strictly "
+                         f"ascend, and with equal weights (q None) number at least one")
+    q, held, sums = schedule.entry_weights(0, T), np.flatnonzero(k), np.zeros((2, T))
+    # each held row after a 0, so that reduceat adds it as np.sum adds the row
+    z, at = np.insert(q, indptr[held], 0.0), indptr[held] + np.arange(len(held))
+    with np.errstate(invalid="ignore"):    # inf - inf: a NaN sum, not within tolerance
+        sums[:, held] = np.add.reduceat(z, at), np.add.reduceat(z * z, at)
+    row_err = np.abs(sums[0] - 1.0)
+    neg = np.bincount(rounds[q < 0], minlength=T)     # negative weights a round
+    bad = np.flatnonzero(~(row_err <= SIMPLEX_TOL) | (neg > 0))
+    report = SimplexReport(ok=bad.size == 0, max_row_error=float(row_err.max()),
+                           min_weight=float(q.min(initial=0.0 if (k < N).any() else np.inf)),
+                           rho2=float(sums[1].max()), bad_rounds=bad[:20].tolist())
     if strict and not report.ok:
-        raise ValueError(f"simplex violation in rounds {report.bad_rounds} "
-                         f"(max row error {report.max_row_error:.3g}, "
-                         f"min weight {report.min_weight:.3g})")
+        raise ValueError(f"simplex violation in rounds {report.bad_rounds} (max row error "
+                         f"{report.max_row_error:.3g}, min weight {report.min_weight:.3g})")
     return report
 
 

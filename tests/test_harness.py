@@ -568,6 +568,21 @@ class TestCliDiagnose:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("points,spied", [(0, "divergence_exact"),
+                                              (3, "sample_offsets")])
+    def test_P_list_checked_before_any_work(self, cfg_file, tmp_path, capsys,
+                                            monkeypatch, points, spied):
+        calls = []
+        real = getattr(cli, spied)
+        monkeypatch.setattr(cli, spied, lambda *a: calls.append(a) or real(*a))
+        out = tmp_path / "d"
+        code = main(["diagnose", "--config", cfg_file, "--out", str(out),
+                     "--set", "diagnose.P_list=1 99999",
+                     "--set", f"diagnose.points={points}"])
+        assert code == 1
+        assert "error: diagnose P=99999 outside [1, T=64]" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
 
 class TestCliBounds:
     def test_hoeffding_csv(self, cfg_file, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 import fedamp as fa
 from fedamp import participation
+from fedamp.engine import MODES
 
 
 def make(kind, N, T, seed=0, **kw):
@@ -63,6 +64,62 @@ class TestSimplexAndRho:
         assert fa.verify_simplex(sched).bad_rounds == [1]
         with pytest.raises(ValueError, match=r"rounds \[1\]"):
             fa.verify_simplex(sched, strict=True)
+
+    @pytest.mark.parametrize("indptr,idx,q", [
+        ([0, 2], [0, 3], None),             # a client beyond N
+        ([0, 2], [-1, 0], None),            # a negative client
+        ([0, 2], [1, 1], [0.25, 0.75]),     # a repeated client
+        ([0, 2], [2, 0], [0.25, 0.75]),     # a descending row
+        ([0, 1, 1], [0], None),             # equal weights 1/k with k = 0
+    ], ids=["beyond_N", "negative", "repeated", "descending", "empty_equal_round"])
+    def test_verify_simplex_rejects_malformed_rows(self, indptr, idx, q):
+        # warnings are errors here, so no RuntimeWarning escapes either
+        sched = fa.WeightSchedule(indptr=np.array(indptr), idx=np.array(idx, dtype=np.int32),
+                                  q=None if q is None else np.array(q), N=3,
+                                  pattern="manual", seed=0)
+        with pytest.raises(ValueError, match=r"in \[0, N=3\) and strictly ascend"):
+            fa.verify_simplex(sched)
+        with pytest.raises(ValueError, match="strictly ascend"):
+            fa.rho_bound(sched)
+
+    def test_run_rejects_a_negative_client(self):
+        # client -1 would index client N - 1 of the population
+        pop = fa.build_quadratic(N=3, m=2, L=1.0, spread=1.0, seed=0)
+        sched = fa.WeightSchedule(indptr=np.array([0, 2]), idx=np.array([-1, 0]),
+                                  q=None, N=3, pattern="manual", seed=0)
+        cfg = fa.RunConfig(gamma=0.1, eta=1.0, local_steps=1, amplify_every=1,
+                           rounds=1, x0=np.ones(2))
+        with pytest.raises(ValueError, match="strictly ascend"):
+            fa.run(pop, fa.NoiseModel("none", 0.0), sched, cfg, seed=0)
+
+    def test_full_participation_sums_pairwise(self):
+        # a sequential sum of 10**6 weights fl(1e-6) misses 1 by 7.9e-12,
+        # beyond SIMPLEX_TOL; the dense row's pairwise sum errs by 4.4e-16
+        rep = fa.verify_simplex(make("full", N=10**6, T=1), strict=True)
+        assert rep.ok and rep.max_row_error <= 4.5e-16
+        assert rep.min_weight == 1e-6 and rep.rho2 > 0
+
+    def test_run_path_builds_no_dense_row(self, tmp_path):
+        pop = fa.build_quadratic(N=6, m=3, L=1.0, spread=1.0, seed=1)
+        w = np.zeros((12, 6))
+        w[np.arange(12), np.arange(12) % 6] = 0.75
+        w[np.arange(12), (np.arange(12) + 2) % 6] = 0.25
+        stored = fa.WeightSchedule.from_dense(w, "manual", 0)
+        generated = make("independent", N=6, T=12, S=3)
+        path = tmp_path / "sched.csv"
+        stored.to_csv(path)
+        with mock.patch.object(fa.WeightSchedule, "__getitem__",
+                               side_effect=AssertionError("a dense block was built")):
+            assert fa.load_schedule_csv(path, N=6).q is not None
+            for sched in (generated, stored):
+                assert fa.verify_simplex(sched, strict=True).ok
+                assert fa.rho_bound(sched) > 0
+                for mode in MODES:
+                    cfg = fa.RunConfig(gamma=0.05, eta=2.0, local_steps=2,
+                                       amplify_every=4, rounds=12, x0=np.ones(3),
+                                       mode=mode)
+                    trace = fa.run(pop, fa.NoiseModel("gaussian", 0.1), sched, cfg, 0)
+                    assert not trace.diverged
 
 
 class TestPermutation:
@@ -275,6 +332,19 @@ class TestClientIndexLimit:
             fa.WeightSchedule.from_dense(np.zeros((0, 2**31)), "manual", 0)
         sched = fa.WeightSchedule.from_dense(np.zeros((0, 2**31 - 1)), "manual", 0)
         assert (sched.T, sched.N, sched.idx.dtype) == (0, 2**31 - 1, np.int32)
+
+    def test_load_one_entry_at_large_N_holds_no_dense_row(self, tmp_path):
+        # one dense row of N = 2**22 weights would take 32 MiB
+        path = tmp_path / "sched.csv"
+        path.write_text("t,n,q\n0,5,1\n")
+        tracemalloc.start()
+        try:
+            sched = fa.load_schedule_csv(path, N=2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert (sched.T, sched.N, sched.idx.tolist(), sched.q) == (1, 2**22, [5], None)
 
     def test_load_rejects_N_beyond_int32(self, tmp_path):
         path = tmp_path / "sched.csv"

@@ -847,13 +847,23 @@ def test_local_step_rows_do_not_depend_on_who_else_steps(case, data):
 # ---------------------------------------------------------------------------
 
 def verify_simplex_reference(w):
-    """verify_simplex on dense weights, verbatim: the report's fields."""
+    """verify_simplex on dense weights, as the dense row pass it replaced
+    computed them: the report's fields."""
     with np.errstate(invalid="ignore"):
         row_err = np.abs(w.sum(axis=1) - 1.0)
     neg = w.min()
     bad = np.nonzero(~(row_err <= participation.SIMPLEX_TOL) | (w.min(axis=1) < 0))[0]
     return (bad.size == 0, float(row_err.max()), float(neg),
             float(np.max(np.sum(w**2, axis=1))), bad[:20].tolist())
+
+
+def verify_simplex_sparse_reference(sched):
+    """verify_simplex's sums on the stored rows of finite weights, a round at
+    a time: (max row error, rho2), each round's sums `np.sum` of its entries."""
+    q = sched.entry_weights(0, sched.T)
+    rows = [q[a:b] for a, b in zip(sched.indptr[:-1], sched.indptr[1:])]
+    return (float(max(abs(np.sum(r) - 1.0) for r in rows)),
+            float(max(np.sum(r * r) for r in rows)))
 
 
 def window_averages_reference(w, P, max_lag):
@@ -1067,9 +1077,16 @@ def test_sparse_reductions_match_dense(case, data):
         rep = fa.verify_simplex(sched)
         stats = fa.window_averages(sched, P, max_lag=max_lag)
     ref = window_averages_reference(w, P, max_lag)
-    assert np.array([rep.ok, rep.max_row_error, rep.min_weight, rep.rho2]).tobytes() \
-        == np.array(verify_simplex_reference(w)[:4]).tobytes()
-    assert rep.bad_rounds == verify_simplex_reference(w)[4]
+    ok, err, min_weight, rho2, bad = verify_simplex_reference(w)
+    assert (rep.ok, rep.bad_rounds) == (ok, bad)
+    assert np.float64(rep.min_weight).tobytes() == np.float64(min_weight).tobytes()
+    assert np.array([rep.max_row_error, rep.rho2]).tobytes() \
+        == np.array(verify_simplex_sparse_reference(sched)).tobytes()
+    # a dense row puts zeros between the entries, so its pairwise sums group
+    # them otherwise: a row of k nonnegative entries errs by k * eps of its sum
+    tol = np.finfo(float).eps * np.count_nonzero(w, axis=1).max()
+    assert abs(rep.max_row_error - err) <= tol * w.sum(axis=1).max()
+    assert abs(rep.rho2 - rho2) <= tol * rho2
     for got, expect in zip((stats.qbar, stats.deviations_sq, stats.var_qbar), ref):
         assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
     k = np.count_nonzero(w, axis=1)
